@@ -87,13 +87,56 @@ class ServiceError(RuntimeError):
 # ----------------------------------------------------------------------
 # Wire format: typed queries and results as plain JSON values
 # ----------------------------------------------------------------------
+def wire_int(value) -> int:
+    """An integer field of a wire payload.
+
+    ``int()`` would truncate ``1.7`` to 1 and read ``true`` as 1; this
+    accepts only integers and integral finite floats, and raises
+    ``ValueError`` (a 400 on the HTTP wire) for anything else.
+    """
+    if type(value) is int:
+        return value
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
+def integer_rows(rows) -> np.ndarray:
+    """A batch of report rows as an ``int64`` array.
+
+    Rejects, with ``ValueError`` (a 400 on the HTTP wire), batches
+    holding non-integral or non-finite numbers, booleans, strings or
+    ragged rows — values ``int64`` conversion alone would truncate or
+    coerce.  Integer rows take NumPy's type discovery straight to an
+    integer array, with no further pass; only a float batch pays a
+    check that every value is integral and in range.  A boolean mixed
+    into otherwise integer rows is promoted to 0/1 by that discovery
+    and is not caught: finding it would need a per-value pass costing
+    as much as the JSON decode.
+    """
+    try:
+        batch = np.asarray(rows)
+    except ValueError as error:
+        raise ValueError(f"report rows must be a rectangular batch: "
+                         f"{error}") from None
+    if batch.dtype.kind in "iu":
+        return batch.astype(np.int64, copy=False)
+    if (batch.dtype.kind == "f" and np.all(np.abs(batch) < 2.0 ** 63)
+            and np.array_equal(np.trunc(batch), batch)):
+        return batch.astype(np.int64)
+    raise ValueError(f"report rows must hold integers; got a batch of "
+                     f"{batch.dtype} values")
+
+
 def predicate_from_wire(obj) -> Predicate:
     """One predicate from ``[attribute, low, high]`` or the dict form."""
     if isinstance(obj, dict):
-        return Predicate(int(obj["attribute"]), int(obj["low"]),
-                         int(obj["high"]))
+        return Predicate(wire_int(obj["attribute"]), wire_int(obj["low"]),
+                         wire_int(obj["high"]))
     attribute, low, high = obj
-    return Predicate(int(attribute), int(low), int(high))
+    return Predicate(wire_int(attribute), wire_int(low), wire_int(high))
 
 
 def _predicates_from_wire(obj) -> tuple[Predicate, ...]:
@@ -104,9 +147,10 @@ def _assignment_from_wire(obj) -> tuple[tuple[int, int], ...]:
     """A point query's cell from ``[[attr, value], ...]`` or a dict."""
     assignment = obj["assignment"]
     if isinstance(assignment, dict):
-        return tuple((int(attribute), int(value))
+        # JSON object keys are always strings.
+        return tuple((int(attribute), wire_int(value))
                      for attribute, value in assignment.items())
-    return tuple((int(attribute), int(value))
+    return tuple((wire_int(attribute), wire_int(value))
                  for attribute, value in assignment)
 
 
@@ -132,17 +176,18 @@ def query_from_wire(obj) -> Query:
     if kind == "range":
         return RangeQuery(_predicates_from_wire(obj))
     if kind == "marginal":
-        return MarginalQuery(tuple(int(a) for a in obj["attributes"]))
+        return MarginalQuery(tuple(wire_int(a) for a in obj["attributes"]))
     if kind == "point":
         return PointQuery(_assignment_from_wire(obj))
     if kind == "count":
         population = obj.get("population")
         return PredicateCountQuery(
             _predicates_from_wire(obj),
-            population=int(population) if population is not None else None)
+            population=(wire_int(population) if population is not None
+                        else None))
     if kind == "topk":
-        return TopKQuery(tuple(int(a) for a in obj["attributes"]),
-                         k=int(obj.get("k", 1)))
+        return TopKQuery(tuple(wire_int(a) for a in obj["attributes"]),
+                         k=wire_int(obj.get("k", 1)))
     raise ValueError(f"unknown query type {kind!r}; known: "
                      "range, marginal, point, count, topk")
 
@@ -554,7 +599,7 @@ class QueryService:
                 raise ServiceError(
                     "domain_size is required for the first raw-row batch "
                     "(pass it per call or at service construction)")
-        return Dataset(np.asarray(rows, dtype=np.int64), int(domain_size))
+        return Dataset(integer_rows(rows), wire_int(domain_size))
 
     def refinalize(self) -> dict:
         """Run Phase 2 on the collector's current state; swap the estimator.

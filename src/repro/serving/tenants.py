@@ -59,14 +59,12 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..resilience import (CircuitBreaker, Deadline, DegradedServiceError,
                           RetryPolicy)
 from ..storage.base import (DEFAULT_TENANT, StorageBackend,
                             TenantExistsError, TenantRecord,
                             UnknownTenantError)
-from .service import QueryService, ServiceError
+from .service import QueryService, ServiceError, integer_rows, wire_int
 
 logger = logging.getLogger("repro.serving")
 
@@ -380,11 +378,14 @@ class TenantManager:
         """Quota check → WAL append → in-memory apply, atomically.
 
         ``rows`` must be a JSON-shaped nested list (or array) of
-        integer rows; it is validated *before* the write-ahead append
-        so a malformed batch can never poison the log.
+        integer rows; it is validated (:func:`integer_rows`) *before*
+        the write-ahead append so a malformed batch can never poison
+        the log.
         """
         runtime = self._runtime(tenant)
-        batch = np.asarray(rows, dtype=np.int64)
+        batch = integer_rows(rows)
+        if domain_size is not None:
+            domain_size = wire_int(domain_size)
         if batch.ndim != 2:
             raise ValueError(f"rows must be a 2-D batch of user records; "
                              f"got shape {tuple(batch.shape)}")

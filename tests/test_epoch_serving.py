@@ -21,8 +21,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import Dataset, make_dataset
-from repro.estimation.weighted_update import (Constraint,
-                                              _weighted_update_single,
+from repro.estimation.weighted_update import (Constraint, _sweep_row,
                                               weighted_update,
                                               weighted_update_batch)
 from repro.queries import MarginalQuery, WorkloadGenerator
@@ -113,25 +112,28 @@ def test_query_before_first_epoch_raises():
 
 
 # ----------------------------------------------------------------------
-# Weighted-Update single-problem specialization
+# Weighted-Update one-row kernel
 # ----------------------------------------------------------------------
 def test_weighted_update_single_bitwise_matches_batch():
-    """The 1-D sweep must be bitwise identical to the sequential
-    reference engine and to the n==1 batch dispatch.  (A 2-row stack
-    is *not* a valid cross-check: ``sub[:, idx]`` gathers F-ordered
-    for n >= 2, so its axis-1 sums round differently in the last ulp
-    than any n==1 run — a pre-existing property of the generic path.
-    Rows of one stacked run must still agree with each other.)"""
+    """The one-row kernel must be bitwise identical to the sequential
+    reference engine and to the n==1 batch dispatch.  A batch's rows
+    are *not* independent of their batch-mates at the last ulp: sums
+    add left to right while two or more rows are active and pairwise
+    once one row is left, so a row's bits depend on whether it
+    outlives the others.  Identical rows of one batch still agree,
+    since they converge on the same sweep."""
     rng = np.random.default_rng(13)
     size = 64
     index_sets = [rng.choice(size, size=rng.integers(2, 12), replace=False)
                   for _ in range(20)]
+    cells = [idx.tolist() for idx in index_sets]
     for trial in range(10):
         targets = rng.random(len(index_sets))
         if trial % 3 == 0:
             targets[rng.integers(0, len(index_sets))] = 0.0
-        single = _weighted_update_single(size, index_sets, targets,
-                                         1e-7, 100)
+        single = np.array(_sweep_row([1.0 / size] * size, cells,
+                                     targets.tolist(), 1e-7, 100,
+                                     batch_rule=False))
         dispatched = weighted_update_batch(size, index_sets, targets[None])
         sequential = weighted_update(
             size, [Constraint(idx, target)

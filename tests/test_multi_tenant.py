@@ -112,6 +112,13 @@ def test_manager_rejects_malformed_batches_before_wal(backend):
     manager.create_tenant("a", _tdg_config())
     with pytest.raises(ValueError, match="2-D"):
         manager.ingest("a", [1, 2, 3])
+    # Values int64 conversion would truncate or coerce (1.5 -> 1).
+    for rows in ([[1.5, 2]], [[float("nan"), 2]], [[1e300, 2]],
+                 [[True, False]], [["1", 2]], [[1, 2], [3]]):
+        with pytest.raises(ValueError, match="report rows"):
+            manager.ingest("a", rows)
+    with pytest.raises(ValueError, match="integer"):
+        manager.ingest("a", [[1, 2]], domain_size=8.5)
     assert backend.pending_ingest("a") == []
 
 
@@ -254,6 +261,15 @@ def mt_server(tmp_path):
     server.shutdown()
     server.server_close()
     backend.close()
+
+
+def test_http_non_integer_ingest_is_400_before_wal(mt_server):
+    """Regression: ``[[1.5, 2]]`` used to be ingested as ``[[1, 2]]``."""
+    manager, port = mt_server
+    status, body = _http_error(port, "/ingest", {"rows": [[1.5, 2]]})
+    assert status == 400 and body["code"] == "bad-request"
+    assert manager.backend.pending_ingest("default") == []
+    assert _http(port, "/ingest", {"rows": [[1.0, 2]]})["ingested"] == 1
 
 
 def test_http_tenants_round_trip(mt_server):

@@ -5,14 +5,16 @@ pure performance change: for every mechanism and every query kind,
 ``answer_typed`` through the fused gather/reassembly pass has to
 reproduce the interpreted :class:`~repro.queries.QueryPlan` path — and
 the per-query planner path — **bitwise**.  Bitwise (not approximate)
-equality is assertable because every layer the compiler regroups is
-elementwise-independent: grid corner lookups answer each range from its
-own four corners, scalar reassembly multiplies each primitive by its
-own scale, and ``weighted_update_batch`` deactivates each row's
-iteration independently of its batch-mates.  The single exception —
-re-batching λ>2 estimation rows one query at a time reassociates
-NumPy's pairwise axis-sums by one ulp — is confined to the per-query
-reference and documented on :func:`assert_results_bitwise_equal`.
+equality is assertable because grid corner lookups answer each range
+from its own four corners, scalar reassembly multiplies each primitive
+by its own scale, and both paths hand ``weighted_update_batch`` the
+same λ>2 rows in the same batches.  Its rows are *not* independent of
+their batch-mates at the last ulp: constraint sums add left to right
+while two or more rows are active and pairwise once one row is left, so
+a row's bits depend on whether it outlives the others.  That is why
+re-batching λ>2 rows one query at a time may move them by an ulp — the
+single exception, confined to the per-query reference and documented
+on :func:`assert_results_bitwise_equal`.
 
 Also covers the :class:`~repro.queries.PlanCache` LRU/counter contract
 and multi-threaded answering through a tiny cache under eviction
@@ -63,15 +65,15 @@ def assert_results_bitwise_equal(fused, reference, rtol: float = 0.0):
     """Typed results from the fused path == the reference path, bitwise.
 
     The default is exact (no tolerance): see the module docstring —
-    every regrouped kernel is elementwise-independent, so there is no
-    float reassociation to forgive.  The one exception is comparing a
+    both paths batch λ>2 rows identically, so there is no float
+    reassociation to forgive.  The one exception is comparing a
     *batched* run against a *per-query* run of λ>2 estimation:
-    ``weighted_update_batch`` sums constraint slices with
-    ``ndarray.sum(axis=1)``, and NumPy's pairwise reduction splits an
-    ``(n, k)`` batch differently from a ``(1, k)`` batch, so re-batching
-    reassociates those float additions.  Observed divergence is one ulp
-    (~1e-16); callers pass ``rtol=1e-9`` there, a bound a million times
-    looser than the effect it forgives.
+    ``weighted_update_batch`` adds a constraint's cells left to right
+    while two or more rows are active and in NumPy's pairwise order for
+    a lone row, so re-batching reassociates sums of eight or more
+    cells.  Observed divergence is one ulp (~1e-16); callers pass
+    ``rtol=1e-9`` there, a bound a million times looser than the effect
+    it forgives.
     """
     assert len(fused) == len(reference)
 

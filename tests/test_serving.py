@@ -387,6 +387,27 @@ def test_http_error_statuses(http_service):
     assert code == 400
 
 
+def test_http_non_integer_numbers_are_400(http_service):
+    """Regression: the wire used to truncate ``1.5`` to 1 on ``/ingest``
+    and answer the predicate ``[0, 1.7, 5.2]`` as ``[0, 1, 5]``."""
+    service, port = http_service
+    before = service.reports_ingested
+    code, body = _http_error(port, "/ingest", {"rows": [[1.5, 2, 3]]})
+    assert code == 400 and body["code"] == "bad-request"
+    assert service.reports_ingested == before
+    for predicate in ([0, 1.7, 5.2], [0, True, 5], [0, 1, float("inf")],
+                      {"attribute": 0, "low": 1, "high": "5"}):
+        code, body = _http_error(port, "/query",
+                                 {"queries": [[predicate]]})
+        assert code == 400 and body["code"] == "bad-request"
+    code, body = _http_error(port, "/query", {"queries": [
+        {"type": "topk", "attributes": [0, 1], "k": 2.5}]})
+    assert code == 400 and body["code"] == "bad-request"
+    # Integral floats are integers written differently, not truncated.
+    assert (_http(port, "/query", {"queries": [[[0, 1.0, 5.0]]]})
+            == _http(port, "/query", {"queries": [[[0, 1, 5]]]}))
+
+
 def test_http_batched_workloads_match_single_requests(http_service,
                                                       mixed_workload):
     service, port = http_service
