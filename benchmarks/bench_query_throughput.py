@@ -1,14 +1,14 @@
-"""Queries/sec of the legacy per-query loop vs the batch query engine.
+"""Queries/sec of a per-query ``answer()`` loop vs the batch query engine.
 
 Fits each mechanism once, generates a mixed-λ workload (λ = 1, 2, 3, 4 in
 equal parts, shuffled) and times two answering paths over the identical
 fitted state:
 
-* **legacy** — ``use_legacy_answering=True``: the original Python
-  cell-loop grid answering and one Weighted Update per λ-D query.
-* **batch**  — the vectorised engine: prefix-sum/summed-area corner
-  lookups grouped per grid plus one batched Weighted Update per distinct
-  λ.
+* **per-query** — ``mechanism.answer(query)`` once per query: one scalar
+  grid lookup per range and one Weighted Update per λ-D query.
+* **batch**  — ``answer_workload``: for pair-decomposable mechanisms the
+  fused execution groups (prefix-sum/summed-area corner lookups grouped
+  per grid plus one batched Weighted Update per distinct λ).
 
 The two paths must agree to 1e-9 on every query (the script fails
 otherwise), so this doubles as an end-to-end equivalence check.
@@ -71,20 +71,18 @@ def mixed_workload(n_queries: int, n_attributes: int, domain_size: int,
     return [queries[index] for index in order]
 
 
-def time_workload(mechanism, queries, legacy: bool,
+def time_workload(answer, queries,
                   min_seconds: float = 0.2) -> tuple[np.ndarray, float]:
     """Answers plus best-of-repeats seconds for one answering path."""
-    mechanism.use_legacy_answering = legacy
-    answers = mechanism.answer_workload(queries)  # warm any lazy indexes
+    answers = answer(queries)  # warm any lazy indexes
     best = float("inf")
     elapsed_total = 0.0
     while elapsed_total < min_seconds:
         start = time.perf_counter()
-        answers = mechanism.answer_workload(queries)
+        answers = answer(queries)
         elapsed = time.perf_counter() - start
         best = min(best, elapsed)
         elapsed_total += elapsed
-    mechanism.use_legacy_answering = False
     return answers, best
 
 
@@ -97,27 +95,29 @@ def run(n_users: int, n_queries: int, epsilon: float, n_attributes: int,
 
     lines = [f"query throughput: n={n_users} d={n_attributes} c={domain_size} "
              f"eps={epsilon} |Q|={len(queries)} (mixed lambda 1-4)",
-             f"{'mechanism':>10}  {'legacy q/s':>12}  {'batch q/s':>12}  "
+             f"{'mechanism':>10}  {'per-query q/s':>13}  {'batch q/s':>12}  "
              f"{'speedup':>8}"]
     failures = []
     for name in MECHANISMS:
         mechanism = FACTORIES[name](epsilon, seed).fit(dataset)
-        legacy_answers, legacy_seconds = time_workload(mechanism, queries,
-                                                       legacy=True)
-        batch_answers, batch_seconds = time_workload(mechanism, queries,
-                                                     legacy=False)
-        worst = float(np.abs(legacy_answers - batch_answers).max())
+        single_answers, single_seconds = time_workload(
+            lambda batch: np.array([mechanism.answer(query)
+                                    for query in batch]), queries)
+        batch_answers, batch_seconds = time_workload(
+            mechanism.answer_workload, queries)
+        worst = float(np.abs(single_answers - batch_answers).max())
         if worst > 1e-9:
-            failures.append(f"{name}: legacy/batch answers differ by {worst:.3e}")
-        legacy_qps = len(queries) / legacy_seconds
+            failures.append(
+                f"{name}: per-query/batch answers differ by {worst:.3e}")
+        single_qps = len(queries) / single_seconds
         batch_qps = len(queries) / batch_seconds
-        speedup = legacy_seconds / batch_seconds
-        lines.append(f"{name:>10}  {legacy_qps:>12.0f}  {batch_qps:>12.0f}  "
+        speedup = single_seconds / batch_seconds
+        lines.append(f"{name:>10}  {single_qps:>13.0f}  {batch_qps:>12.0f}  "
                      f"{speedup:>7.1f}x")
         if not smoke and name in ("TDG", "HDG") and speedup < 10.0:
             failures.append(
-                f"{name}: batch engine only {speedup:.1f}x over the legacy "
-                "loop (expected >= 10x)")
+                f"{name}: batch engine only {speedup:.1f}x over the "
+                "per-query loop (expected >= 10x)")
     text = "\n".join(lines)
     if failures:
         raise SystemExit(text + "\n\nFAILURES:\n" + "\n".join(failures))

@@ -258,7 +258,7 @@ class LHIO(PairwiseBatchAnswering, RangeQueryMechanism):
             interval_a, interval_b = interval_b, interval_a
         nodes_rows = self.hierarchy.decompose(*interval_a)
         nodes_cols = self.hierarchy.decompose(*interval_b)
-        if not self.use_legacy_answering and not pair_hierarchy.lazy_groups:
+        if not pair_hierarchy.lazy_groups:
             # Every level materialised (the paper-scale default): sum each
             # level's node combinations with one fancy-indexed gather.
             answer = 0.0
@@ -299,56 +299,64 @@ class LHIO(PairwiseBatchAnswering, RangeQueryMechanism):
                                      method=self.estimation_method)
 
     # ------------------------------------------------------------------
-    # Batch engine (see PairwiseBatchAnswering): all 2-D lookups of a
-    # workload — λ = 1 queries padded to pairs, λ = 2 queries directly,
-    # the C(λ,2) sub-queries of λ > 2 queries — flow through one grouped
-    # gather per (pair, 2-dim level); the λ > 2 Weighted Update then
-    # runs as one NumPy batch.
+    # Fused hooks (see PairwiseBatchAnswering): each pair group — λ = 1
+    # queries padded to pairs, λ = 2 queries, the C(λ,2) sub-queries of
+    # λ > 2 queries — is answered with one gather per 2-dim level.
     # ------------------------------------------------------------------
-    def _answer_interval_pairs_batched(self, entries) -> np.ndarray:
-        """Sum every entry's node combinations with one gather per level.
+    def _has_lazy_levels(self) -> bool:
+        return any(pair_hierarchy.lazy_groups
+                   for pair_hierarchy in self._pairs.values())
 
-        Each entry ``(attr_a, attr_b, interval_a, interval_b)`` decomposes
-        into (row node, column node) combinations exactly like
-        :meth:`_answer_pair`; combinations from all entries are grouped
-        by (attribute pair, 2-dim level) and each group is answered with
-        a single fancy-indexed lookup into the level's materialised
-        estimates, scatter-added back onto the entries via ``bincount``.
-        Falls back to the per-entry loop when any level is lazy, which
-        keeps the lazy noise draws in the legacy iteration order.
+    def _answer_workload(self, queries: list[RangeQuery]) -> np.ndarray:
+        if self._has_lazy_levels():
+            # Lazy levels draw noise on first touch; answering strictly in
+            # workload order keeps the RNG stream identical to answering
+            # query by query (grouping would reorder the draws).
+            return np.array([float(self._answer(query)) for query in queries])
+        return super()._answer_workload(queries)
+
+    def _answer_compiled(self, compiled) -> np.ndarray:
+        if self._has_lazy_levels():
+            return self._answer_workload(compiled.flat_ranges)
+        return super()._answer_compiled(compiled)
+
+    def _fused_pair_ranges(self, key, row_lows, row_highs, col_lows,
+                           col_highs) -> np.ndarray:
+        """Sum every range's node combinations with one gather per level.
+
+        Each range decomposes into (row node, column node) combinations
+        exactly like :meth:`_answer_pair`; combinations of all ranges
+        are grouped by 2-dim level, each level is answered with a single
+        fancy-indexed lookup into its materialised estimates, and the
+        values are scatter-added back onto the ranges via ``bincount``.
         """
         assert self.hierarchy is not None
-        if not entries or any(pair_hierarchy.lazy_groups
-                              for pair_hierarchy in self._pairs.values()):
-            return super()._answer_interval_pairs_batched(entries)
+        pair_hierarchy = self._pairs.get(key)
+        if pair_hierarchy is None:
+            pair_hierarchy = self._pairs[(key[1], key[0])]
+            row_lows, row_highs, col_lows, col_highs = \
+                col_lows, col_highs, row_lows, row_highs
         n_levels = self.hierarchy.n_levels
-        pairs_list = list(self._pairs)
-        pair_position = {pair: index for index, pair in enumerate(pairs_list)}
         node_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
-        def nodes_of(interval: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-            arrays = node_cache.get(interval)
+        def nodes_of(low: int, high: int) -> tuple[np.ndarray, np.ndarray]:
+            arrays = node_cache.get((low, high))
             if arrays is None:
-                nodes = self.hierarchy.decompose(*interval)
+                nodes = self.hierarchy.decompose(low, high)
                 arrays = (np.array([node.level for node in nodes], dtype=np.int64),
                           np.array([node.index for node in nodes], dtype=np.int64))
-                node_cache[interval] = arrays
+                node_cache[(low, high)] = arrays
             return arrays
 
         code_parts, row_parts, col_parts, entry_parts = [], [], [], []
-        for position, (attr_a, attr_b, interval_a, interval_b) in enumerate(entries):
-            if (attr_a, attr_b) in self._pairs:
-                pair = (attr_a, attr_b)
-            else:
-                pair = (attr_b, attr_a)
-                interval_a, interval_b = interval_b, interval_a
-            row_levels, row_indices = nodes_of(tuple(interval_a))
-            col_levels, col_indices = nodes_of(tuple(interval_b))
+        for position, (row_low, row_high, col_low, col_high) in enumerate(zip(
+                row_lows.tolist(), row_highs.tolist(), col_lows.tolist(),
+                col_highs.tolist())):
+            row_levels, row_indices = nodes_of(row_low, row_high)
+            col_levels, col_indices = nodes_of(col_low, col_high)
             n_rows, n_cols = row_levels.size, col_levels.size
-            row_level_grid = np.repeat(row_levels, n_cols)
-            col_level_grid = np.tile(col_levels, n_rows)
-            code_parts.append((pair_position[pair] * n_levels + row_level_grid)
-                              * n_levels + col_level_grid)
+            code_parts.append(np.repeat(row_levels, n_cols) * n_levels
+                              + np.tile(col_levels, n_rows))
             row_parts.append(np.repeat(row_indices, n_cols))
             col_parts.append(np.tile(col_indices, n_rows))
             entry_parts.append(np.full(n_rows * n_cols, position, dtype=np.int64))
@@ -357,35 +365,20 @@ class LHIO(PairwiseBatchAnswering, RangeQueryMechanism):
         cols = np.concatenate(col_parts)
         entry_ids = np.concatenate(entry_parts)
 
-        answers = np.zeros(len(entries))
+        n_entries = len(entry_parts)
+        answers = np.zeros(n_entries)
         unique_codes, inverse = np.unique(codes, return_inverse=True)
-        for group, code in enumerate(unique_codes):
+        for group, code in enumerate(unique_codes.tolist()):
             mask = inverse == group
-            code = int(code)
-            col_level = code % n_levels
-            row_level = (code // n_levels) % n_levels
-            pair = pairs_list[code // (n_levels * n_levels)]
-            values = self._pairs[pair].levels[(row_level, col_level)]
+            values = pair_hierarchy.levels[divmod(code, n_levels)]
             answers += np.bincount(entry_ids[mask],
                                    weights=values[rows[mask], cols[mask]],
-                                   minlength=len(entries))
+                                   minlength=n_entries)
         return answers
 
-    def _answer_singles_batched(self, queries: list[RangeQuery]) -> np.ndarray:
-        full_domain = (0, self._domain_size - 1)
-        entries = []
-        for query in queries:
-            attribute = query.attributes[0]
-            other = 0 if attribute != 0 else 1
-            entries.append((attribute, other, query.interval(attribute),
-                            full_domain))
-        return self._answer_interval_pairs_batched(entries)
-
-    def _answer_workload(self, queries: list[RangeQuery]) -> np.ndarray:
-        if any(pair_hierarchy.lazy_groups
-               for pair_hierarchy in self._pairs.values()):
-            # Lazy levels draw noise on first touch; answering strictly in
-            # workload order keeps the RNG stream identical to the legacy
-            # path (the mixin's dimension grouping would reorder it).
-            return np.array([float(self._answer(query)) for query in queries])
-        return super()._answer_workload(queries)
+    def _fused_attribute_ranges(self, attribute, lows, highs) -> np.ndarray:
+        """1-D group: pad every range to the full domain of a partner."""
+        other = 0 if attribute != 0 else 1
+        return self._fused_pair_ranges(
+            (attribute, other), lows, highs, np.zeros_like(lows),
+            np.full_like(lows, self._domain_size - 1))

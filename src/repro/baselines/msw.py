@@ -91,13 +91,6 @@ class MSW(RangeQueryMechanism):
         return float(prefix[high + 1] - prefix[low])
 
     def _answer(self, query: RangeQuery) -> float:
-        if self.use_legacy_answering:
-            answer = 1.0
-            for predicate in query.predicates:
-                distribution = self.distributions[predicate.attribute]
-                answer *= float(
-                    distribution[predicate.low:predicate.high + 1].sum())
-            return answer
         answer = 1.0
         for predicate in query.predicates:
             answer *= self._interval_mass(predicate.attribute, predicate.low,

@@ -111,11 +111,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
                              "parallel user shards (1 = single-shot)")
     parser.add_argument("--shard-workers", type=int, default=None,
                         help="concurrency cap for the shard executor")
-    parser.add_argument("--query-engine", choices=["batch", "legacy"],
-                        default="batch",
-                        help="Phase-3 answering path: the vectorised "
-                             "prefix-sum engine (default) or the original "
-                             "per-query loop")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for the experiment executor; "
                              "the (sweep value, repetition, mechanism) cells "
@@ -137,8 +132,8 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         volume=args.volume, n_queries=args.n_queries,
         n_repeats=args.n_repeats, methods=tuple(args.methods), seed=args.seed,
         n_shards=args.shards, shard_workers=args.shard_workers,
-        query_engine=args.query_engine, n_jobs=args.jobs,
-        query_kinds=tuple(args.query_kinds), top_k=args.top_k)
+        n_jobs=args.jobs, query_kinds=tuple(args.query_kinds),
+        top_k=args.top_k)
 
 
 def _cache_from_args(args: argparse.Namespace) -> ResultCache | None:
@@ -217,7 +212,6 @@ def _command_shard_demo(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     single = factory_cls(args.epsilon, seed=args.seed).fit(dataset)
     single_seconds = time.perf_counter() - start
-    single.use_legacy_answering = args.query_engine == "legacy"
     single_mae = mean_absolute_error(single.answer_workload(queries), truths)
 
     report = ParallelFitReport(n_shards=0, max_workers=0)
@@ -227,7 +221,6 @@ def _command_shard_demo(args: argparse.Namespace) -> int:
         dataset, n_shards=args.shards, max_workers=args.shard_workers,
         report=report)
     sharded_seconds = time.perf_counter() - start
-    sharded.use_legacy_answering = args.query_engine == "legacy"
     sharded_mae = mean_absolute_error(sharded.answer_workload(queries), truths)
 
     print(f"shard demo: {args.mechanism} on {args.dataset} "

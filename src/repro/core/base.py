@@ -91,12 +91,6 @@ class RangeQueryMechanism(abc.ABC):
     #: Short name used in experiment tables (overridden by subclasses).
     name: str = "mechanism"
 
-    #: When True, ``answer``/``answer_workload`` bypass the vectorised
-    #: prefix-sum engine and run the original per-query/per-cell code
-    #: paths.  Exists for benchmarking and for property-testing the
-    #: engine against its ground truth; production callers leave it off.
-    use_legacy_answering: bool = False
-
     #: Query kinds this mechanism can answer (see
     #: :data:`repro.queries.QUERY_KINDS`).  Every kind lowers onto range
     #: primitives, so the default grants all of them; a subclass that
@@ -461,15 +455,13 @@ class RangeQueryMechanism(abc.ABC):
         """Estimated answers for a (possibly mixed-kind) workload.
 
         Pure range workloads are validated up front and handed to the
-        mechanism's batch engine (``_answer_workload``), which groups
-        them by dimension/attribute set and answers whole groups with
-        vectorised prefix-sum lookups where the mechanism supports it;
-        the return value is the flat float vector it always was.  A
-        workload containing any other IR kind goes through
-        :meth:`answer_typed` and returns one typed
-        :class:`~repro.queries.QueryResult` per query instead.  With
-        ``use_legacy_answering`` set, every primitive goes through the
-        original one-at-a-time path.
+        mechanism's batch engine (``_answer_workload``) — for
+        pair-decomposable mechanisms the fused execution groups of
+        :func:`~repro.queries.compiler.group_primitives`, with no
+        planning and no plan cache; the return value is the flat float
+        vector it always was.  A workload containing any other IR kind
+        goes through :meth:`answer_typed` and returns one typed
+        :class:`~repro.queries.QueryResult` per query instead.
         """
         self._require_fitted()
         queries = list(queries)
@@ -479,7 +471,7 @@ class RangeQueryMechanism(abc.ABC):
             return self.answer_typed(queries)
         for query in queries:
             self._validate_query(query)
-        return self._answer_ranges(queries)
+        return self._answer_workload(queries)
 
     def answer_typed(self, queries: list) -> list[QueryResult]:
         """Answer a typed IR workload: compile, batch-answer, reassemble.
@@ -487,12 +479,12 @@ class RangeQueryMechanism(abc.ABC):
         The planner lowers every query onto range primitives (checking
         it against :attr:`query_capabilities` and the fitted schema),
         the compiler freezes the lowered plan into fused gather arrays,
-        the primitives run through :meth:`_answer_compiled` — grouped
-        vectorised lookups on mechanisms with fused hooks, the plain
-        batch engine otherwise — and the compiled plan gathers the flat
-        answers back into typed results in one vectorised pass, so
-        marginal cells, point estimates, count scaling and top-k
-        selection all ride the one answering stack.
+        the primitives run through :meth:`_answer_compiled` — the fused
+        execution groups on pair-decomposable mechanisms, the
+        mechanism's own batch engine otherwise — and the compiled plan
+        gathers the flat answers back into typed results in one
+        vectorised pass, so marginal cells, point estimates, count
+        scaling and top-k selection all ride the one answering stack.
         """
         self._require_fitted()
         compiled = self._plan_for(queries)
@@ -545,20 +537,12 @@ class RangeQueryMechanism(abc.ABC):
     def _answer_compiled(self, compiled: CompiledPlan) -> np.ndarray:
         """Answer a compiled plan's primitives as one flat vector.
 
-        The default replays the plan's primitive list through the
-        ordinary (batch or legacy) range path — correct for every
-        mechanism, and still cheaper than the interpreted typed path
-        because the flat list is materialised once at compile time.
+        The default runs the plan's primitive list (materialised once at
+        compile time) through :meth:`_answer_workload`;
         :class:`~repro.core.query_estimation.PairwiseBatchAnswering`
         overrides this with the fused grouped execution.
         """
-        return self._answer_ranges(compiled.flat_ranges)
-
-    def _answer_ranges(self, queries: list[RangeQuery]) -> np.ndarray:
-        """Validated range primitives through the batch or legacy path."""
-        if self.use_legacy_answering:
-            return np.array([float(self._answer(query)) for query in queries])
-        return np.asarray(self._answer_workload(queries), dtype=float)
+        return self._answer_workload(compiled.flat_ranges)
 
     def _answer_workload(self, queries: list[RangeQuery]) -> np.ndarray:
         """Batch answering hook; defaults to the per-query loop."""

@@ -500,9 +500,6 @@ class HDG(PairwiseBatchAnswering, RangeQueryMechanism):
     def _answer_pair(self, query: RangeQuery) -> float:
         key, interval_a, interval_b = self._pair_intervals(query)
         grid = self.grids_2d[key]
-        if self.use_legacy_answering:
-            return grid.answer_range_loop(interval_a, interval_b,
-                                          self.response_matrices.get(key))
         return grid.answer_range(interval_a, interval_b,
                                  response_matrix=self.response_matrices.get(key),
                                  response_index=self._response_index(key))
@@ -510,21 +507,11 @@ class HDG(PairwiseBatchAnswering, RangeQueryMechanism):
     def _answer_single(self, query: RangeQuery) -> float:
         attribute = query.attributes[0]
         low, high = query.interval(attribute)
-        grid = self.grids_1d[attribute]
-        if self.use_legacy_answering:
-            return grid.answer_range_loop(low, high)
-        return grid.answer_range(low, high)
+        return self.grids_1d[attribute].answer_range(low, high)
 
     # ------------------------------------------------------------------
-    # Batch engine
+    # Fused hooks (see PairwiseBatchAnswering)
     # ------------------------------------------------------------------
-    def _answer_interval_pairs_batched(self, entries) -> np.ndarray:
-        """Grouped, vectorised corner lookups through the response SATs."""
-        return self._grid_interval_pairs_batched(entries, self.grids_2d,
-                                                 self._response_index)
-
-    _supports_fused_plans = True
-
     def _fused_pair_ranges(self, key, row_lows, row_highs, col_lows,
                            col_highs) -> np.ndarray:
         """One pair grid's corner lookups for a compiled pair group."""
@@ -540,21 +527,6 @@ class HDG(PairwiseBatchAnswering, RangeQueryMechanism):
     def _fused_attribute_ranges(self, attribute, lows, highs) -> np.ndarray:
         """1-D group: vectorised lookups on the fine-grained 1-D grid."""
         return self.grids_1d[attribute].answer_ranges(lows, highs)
-
-    def _answer_singles_batched(self, queries: list[RangeQuery]) -> np.ndarray:
-        """Batch 1-D answers from the fine-grained 1-D grids."""
-        answers = np.empty(len(queries))
-        by_attribute: dict[int, list[tuple[int, int, int]]] = {}
-        for position, query in enumerate(queries):
-            attribute = query.attributes[0]
-            low, high = query.interval(attribute)
-            by_attribute.setdefault(attribute, []).append((position, low, high))
-        for attribute, entries in by_attribute.items():
-            positions = np.array([entry[0] for entry in entries])
-            lows = np.array([entry[1] for entry in entries])
-            highs = np.array([entry[2] for entry in entries])
-            answers[positions] = self.grids_1d[attribute].answer_ranges(lows, highs)
-        return answers
 
     def _answer(self, query: RangeQuery) -> float:
         if query.dimension == 1:

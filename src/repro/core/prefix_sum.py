@@ -20,8 +20,9 @@ so that a range answer becomes a constant number of corner lookups:
 
 All three evaluate vectorised over arrays of interval endpoints, which is
 what makes workload batching (thousands of queries per call) cheap.  The
-answers are algebraically identical to the legacy cell loops; the test
-suite asserts agreement to 1e-9 on randomised inputs.
+answers are algebraically identical to the per-cell loops kept in
+``tests/oracles/``; the test suite asserts agreement to 1e-9 on
+randomised inputs.
 """
 
 from __future__ import annotations

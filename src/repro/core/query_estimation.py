@@ -22,7 +22,8 @@ import numpy as np
 
 from ..estimation import (Constraint, max_entropy_estimate, weighted_update,
                           weighted_update_batch)
-from ..queries import Predicate, RangeQuery
+from ..queries import RangeQuery
+from ..queries.compiler import group_primitives
 
 #: Signature of the callable that answers an associated 2-D sub-query.
 PairAnswerFn = Callable[[RangeQuery], float]
@@ -134,93 +135,24 @@ def estimate_lambda_query(query: RangeQuery, answer_pair: PairAnswerFn,
 
 
 class PairwiseBatchAnswering:
-    """Mixin: batched workload answering for pair-decomposable mechanisms.
+    """Mixin: fused workload answering for pair-decomposable mechanisms.
 
     Mechanisms that answer 1-D/2-D queries directly and λ > 2 queries by
     combining 2-D sub-answers (TDG, HDG, LHIO) mix this in and provide
-    :meth:`_answer_singles_batched` plus either a 2-D batch entry point
-    (:meth:`_answer_pairs_batched` / :meth:`_answer_interval_pairs_batched`,
-    grid mechanisms delegate to :meth:`_grid_interval_pairs_batched`) or
-    just a scalar ``_answer_pair`` for the default per-query fallback.
-    The mixin partitions a workload by query dimension, answers each
-    class through the vectorised primitives and runs Algorithm 2 as one
-    batched NumPy iteration per distinct λ.
-
-    Mixed-kind workloads arrive here already lowered: the base class
-    compiles marginal/point/count/top-k queries onto range primitives
-    through :class:`~repro.queries.QueryPlanner`, so e.g. a 2-D
-    marginal's ``c²`` degenerate cells land in the pairs partition and
-    are answered as one grouped corner-lookup batch per grid — the
-    mixin needs no per-kind code.
+    the two vectorised hooks :meth:`_fused_attribute_ranges` and
+    :meth:`_fused_pair_ranges`.  Every multi-primitive workload — a
+    range list, or a typed workload's compiled plan — is partitioned
+    into :class:`~repro.queries.compiler.ExecutionGroups` and answered
+    by :meth:`_answer_groups`: one vectorised call per attribute or
+    attribute pair, then one batched Algorithm-2 iteration per distinct
+    λ.  The scalar ``_answer`` stays the per-query reference.
     """
 
     #: Combiner for λ > 2 queries; set by the mechanism constructor.
     estimation_method: str = "weighted_update"
     #: Iteration cap for Algorithm 2; set by the mechanism constructor.
     estimation_iterations: int = 100
-    #: Whether the mechanism implements the fused compiled-plan hooks
-    #: (:meth:`_fused_attribute_ranges` / :meth:`_fused_pair_ranges`).
-    #: Grid mechanisms (TDG, HDG) turn this on; mechanisms with their
-    #: own batch layout (LHIO's hierarchy gathers) leave it off and the
-    #: compiled path falls back to their existing batch engine.
-    _supports_fused_plans: bool = False
 
-    def _answer_pairs_batched(self, queries: list[RangeQuery]) -> np.ndarray:
-        """Batch 2-D answers; defaults to the interval-tuple entry point."""
-        return self._answer_interval_pairs_batched(
-            [(query.predicates[0].attribute, query.predicates[1].attribute,
-              (query.predicates[0].low, query.predicates[0].high),
-              (query.predicates[1].low, query.predicates[1].high))
-             for query in queries])
-
-    def _answer_singles_batched(self, queries: list[RangeQuery]) -> np.ndarray:
-        raise NotImplementedError
-
-    def _answer_interval_pairs_batched(self, entries) -> np.ndarray:
-        """Batch 2-D answers from raw ``(attr_a, attr_b, interval_a,
-        interval_b)`` tuples.
-
-        The λ > 2 path decomposes every query into C(λ,2) 2-D lookups;
-        going through tuples instead of :class:`RangeQuery` sub-objects
-        skips thousands of dataclass constructions per workload.  The
-        default materialises the sub-queries one by one; grid mechanisms
-        override with :meth:`_grid_interval_pairs_batched`.
-        """
-        return np.array([
-            self._answer_pair(RangeQuery((Predicate(attr_a, *interval_a),
-                                          Predicate(attr_b, *interval_b))))
-            for attr_a, attr_b, interval_a, interval_b in entries])
-
-    def _grid_interval_pairs_batched(self, entries, grids,
-                                     response_index_for) -> np.ndarray:
-        """Shared grouped implementation over a dict of 2-D grids.
-
-        ``grids`` maps ordered attribute pairs to :class:`Grid2D`;
-        entries whose pair is stored in the flipped orientation get their
-        intervals swapped.  ``response_index_for(key)`` supplies the
-        optional summed-area table of the pair's response matrix (HDG).
-        """
-        answers = np.empty(len(entries))
-        by_grid: dict[tuple[int, int], list[tuple[int, tuple, tuple]]] = {}
-        for position, (attr_a, attr_b, interval_a, interval_b) in enumerate(entries):
-            key = (attr_a, attr_b)
-            if key not in grids:
-                key = (attr_b, attr_a)
-                interval_a, interval_b = interval_b, interval_a
-            by_grid.setdefault(key, []).append(
-                (position, interval_a, interval_b))
-        for key, group in by_grid.items():
-            positions = np.array([entry[0] for entry in group])
-            rows = np.array([entry[1] for entry in group])
-            cols = np.array([entry[2] for entry in group])
-            answers[positions] = grids[key].answer_ranges(
-                rows[:, 0], rows[:, 1], cols[:, 0], cols[:, 1],
-                response_index=response_index_for(key))
-        return answers
-
-    # ------------------------------------------------------------------
-    # Fused compiled-plan execution
-    # ------------------------------------------------------------------
     def _fused_attribute_ranges(self, attribute: int, lows: np.ndarray,
                                 highs: np.ndarray) -> np.ndarray:
         """Vectorised answers for one attribute's 1-D endpoint arrays."""
@@ -232,110 +164,56 @@ class PairwiseBatchAnswering:
         """Vectorised answers for one attribute pair's 2-D endpoint arrays."""
         raise NotImplementedError
 
+    def _answer_workload(self, queries: list[RangeQuery]) -> np.ndarray:
+        return self._answer_groups(group_primitives(queries))
+
     def _answer_compiled(self, compiled) -> np.ndarray:
-        """Execute a compiled plan through the fused grouped gathers.
+        return self._answer_groups(compiled.groups)
 
-        The per-call interpretation the plain batch path pays —
-        re-partitioning primitives by dimension, regrouping by grid,
-        rebuilding interval tuples — was done once at compile time;
-        answering is one vectorised lookup per (attribute or pair)
-        group plus one batched Algorithm-2 iteration per distinct λ.
-        Every group calls the same kernels in the same grouping the
-        interpreted path uses, so answers are bitwise identical.
+    def _answer_groups(self, groups) -> np.ndarray:
+        """Answer grouped primitives as one flat vector in list order.
 
-        Falls back to the uncompiled path for mechanisms without fused
-        hooks, under ``use_legacy_answering``, and for non-default λ > 2
-        combiners (max entropy runs per query).
+        λ > 2 rows get the clipped pair answers plus the simplex
+        normalisation to 1 as Weighted Update targets — the constraints
+        :func:`estimate_lambda_query` builds, in the same order.  Max
+        entropy runs :func:`estimate_lambda_query` per row on the
+        gathered sub-answers.
         """
-        if (not self._supports_fused_plans or self.use_legacy_answering
-                or (compiled.multi_dim_groups
-                    and self.estimation_method != "weighted_update")):
-            return super()._answer_compiled(compiled)
-        answers = np.empty(compiled.n_primitives)
-        for group in compiled.single_groups:
+        answers = np.empty(groups.n_primitives)
+        for group in groups.single_groups:
             answers[group.positions] = self._fused_attribute_ranges(
                 group.attribute, group.lows, group.highs)
-        for group in compiled.pair_groups:
+        for group in groups.pair_groups:
             answers[group.positions] = self._fused_pair_ranges(
                 group.key, group.row_lows, group.row_highs, group.col_lows,
                 group.col_highs)
-        if compiled.n_sub_entries:
-            sub_answers = np.empty(compiled.n_sub_entries)
-            for group in compiled.multi_pair_groups:
-                sub_answers[group.positions] = self._fused_pair_ranges(
-                    group.key, group.row_lows, group.row_highs, group.col_lows,
-                    group.col_highs)
-            for group in compiled.multi_dim_groups:
-                # Same targets layout as estimate_lambda_queries_batched:
-                # clipped pair answers plus the simplex normalisation to 1.
-                targets = np.ones((group.positions.size,
-                                   len(group.index_sets)))
-                targets[:, :-1] = np.maximum(
-                    0.0, sub_answers[group.sub_index_matrix])
-                estimates = weighted_update_batch(
-                    1 << group.dimension, group.index_sets, targets,
-                    max_iterations=self.estimation_iterations)
-                answers[group.positions] = \
-                    estimates[:, (1 << group.dimension) - 1]
-        return answers
-
-    def _answer_workload(self, queries: list[RangeQuery]) -> np.ndarray:
-        answers = np.empty(len(queries))
-        singles: list[int] = []
-        pairs: list[int] = []
-        multis: list[int] = []
-        for position, query in enumerate(queries):
-            if query.dimension == 1:
-                singles.append(position)
-            elif query.dimension == 2:
-                pairs.append(position)
-            else:
-                multis.append(position)
-
-        if singles:
-            answers[singles] = self._answer_singles_batched(
-                [queries[position] for position in singles])
-        if pairs:
-            answers[pairs] = self._answer_pairs_batched(
-                [queries[position] for position in pairs])
-        if multis:
-            answers[multis] = self._answer_multis_batched(
-                [queries[position] for position in multis])
-        return answers
-
-    def _answer_multis_batched(self, queries: list[RangeQuery]) -> np.ndarray:
-        """λ > 2 queries: batch the 2-D sub-answers, then Weighted Update."""
-        sub_entries: list[tuple] = []
-        slices: list[tuple[int, int]] = []
-        for query in queries:
-            predicates = query.predicates
-            start = len(sub_entries)
-            # Same (lexicographic-by-position) order as pairwise_subqueries.
-            for i in range(len(predicates)):
-                for j in range(i + 1, len(predicates)):
-                    sub_entries.append(
-                        (predicates[i].attribute, predicates[j].attribute,
-                         (predicates[i].low, predicates[i].high),
-                         (predicates[j].low, predicates[j].high)))
-            slices.append((start, len(sub_entries) - start))
-        flat_answers = self._answer_interval_pairs_batched(sub_entries)
-        sub_answers = [flat_answers[start:start + count]
-                       for start, count in slices]
-        if self.estimation_method == "weighted_update":
-            return estimate_lambda_queries_batched(
-                queries, sub_answers,
+        if not groups.n_sub_entries:
+            return answers
+        sub_answers = np.empty(groups.n_sub_entries)
+        for group in groups.multi_pair_groups:
+            sub_answers[group.positions] = self._fused_pair_ranges(
+                group.key, group.row_lows, group.row_highs, group.col_lows,
+                group.col_highs)
+        for group in groups.multi_dim_groups:
+            if self.estimation_method != "weighted_update":
+                for position, query, sub_indices in zip(
+                        group.positions, group.queries,
+                        group.sub_index_matrix):
+                    lookup = dict(zip((sub.attributes for sub
+                                       in query.pairwise_subqueries()),
+                                      sub_answers[sub_indices]))
+                    answers[position] = estimate_lambda_query(
+                        query, lambda sub: lookup[sub.attributes],
+                        method=self.estimation_method,
+                        max_iterations=self.estimation_iterations)
+                continue
+            targets = np.ones((group.positions.size, len(group.index_sets)))
+            targets[:, :-1] = np.maximum(0.0,
+                                         sub_answers[group.sub_index_matrix])
+            estimates = weighted_update_batch(
+                1 << group.dimension, group.index_sets, targets,
                 max_iterations=self.estimation_iterations)
-        # Other combiners (max entropy) run per query on the batched
-        # sub-answers.
-        answers = np.empty(len(queries))
-        for position, query in enumerate(queries):
-            lookup = dict(zip((sub.attributes
-                               for sub in query.pairwise_subqueries()),
-                              sub_answers[position]))
-            answers[position] = estimate_lambda_query(
-                query, lambda sub: lookup[sub.attributes],
-                method=self.estimation_method,
-                max_iterations=self.estimation_iterations)
+            answers[group.positions] = estimates[:, (1 << group.dimension) - 1]
         return answers
 
 
@@ -353,45 +231,3 @@ def lambda_constraint_index_sets(dimension: int) -> list[np.ndarray]:
             for pos_b in range(pos_a + 1, dimension)]
     sets.append(np.arange(1 << dimension, dtype=np.int64))
     return sets
-
-
-def estimate_lambda_queries_batched(queries: list[RangeQuery],
-                                    sub_answers: list[np.ndarray],
-                                    threshold: float = 1e-7,
-                                    max_iterations: int = 100) -> np.ndarray:
-    """Batched Algorithm 2: estimate many λ-D queries in one NumPy iteration.
-
-    Parameters
-    ----------
-    queries:
-        λ-D queries (λ > 2 each; dimensions may differ between queries).
-    sub_answers:
-        For each query, its ``C(λ,2)`` estimated 2-D sub-answers in
-        :meth:`~repro.queries.RangeQuery.pairwise_subqueries` order.
-    threshold, max_iterations:
-        Convergence controls, matching :func:`estimate_lambda_query`.
-
-    Returns
-    -------
-    numpy.ndarray
-        One estimated answer per query, identical (to floating-point
-        noise) to running :func:`estimate_lambda_query` per query.
-    """
-    answers = np.empty(len(queries))
-    by_dimension: dict[int, list[int]] = {}
-    for position, query in enumerate(queries):
-        if query.dimension <= 2:
-            raise ValueError("batched estimation requires λ > 2 queries")
-        by_dimension.setdefault(query.dimension, []).append(position)
-
-    for dimension, positions in by_dimension.items():
-        index_sets = lambda_constraint_index_sets(dimension)
-        # Targets: the (clipped) pair answers plus the normalisation to 1.
-        targets = np.ones((len(positions), len(index_sets)))
-        for row, position in enumerate(positions):
-            targets[row, :-1] = np.maximum(0.0, sub_answers[position])
-        estimates = weighted_update_batch(1 << dimension, index_sets, targets,
-                                          threshold=threshold,
-                                          max_iterations=max_iterations)
-        answers[positions] = estimates[:, (1 << dimension) - 1]
-    return answers

@@ -296,8 +296,6 @@ class TDG(PairwiseBatchAnswering, RangeQueryMechanism):
 
     def _answer_pair(self, query: RangeQuery) -> float:
         grid, interval_a, interval_b = self._pair_intervals(query)
-        if self.use_legacy_answering:
-            return grid.answer_range_loop(interval_a, interval_b)
         return grid.answer_range(interval_a, interval_b)
 
     def _pad_to_pair(self, query: RangeQuery) -> RangeQuery:
@@ -322,15 +320,8 @@ class TDG(PairwiseBatchAnswering, RangeQueryMechanism):
                                      max_iterations=self.estimation_iterations)
 
     # ------------------------------------------------------------------
-    # Batch engine
+    # Fused hooks (see PairwiseBatchAnswering)
     # ------------------------------------------------------------------
-    def _answer_interval_pairs_batched(self, entries) -> np.ndarray:
-        """Grouped, vectorised corner lookups (uniformity rule only)."""
-        return self._grid_interval_pairs_batched(entries, self.grids,
-                                                 lambda key: None)
-
-    _supports_fused_plans = True
-
     def _fused_pair_ranges(self, key, row_lows, row_highs, col_lows,
                            col_highs) -> np.ndarray:
         """One grid's corner lookups for a compiled pair group."""
@@ -348,17 +339,6 @@ class TDG(PairwiseBatchAnswering, RangeQueryMechanism):
         full_highs = np.full_like(lows, self._domain_size - 1)
         return self._fused_pair_ranges((attribute, other), lows, highs,
                                        full_lows, full_highs)
-
-    def _answer_singles_batched(self, queries: list[RangeQuery]) -> np.ndarray:
-        """Batch 1-D answers (TDG marginalises a 2-D grid; HDG overrides)."""
-        c = self._domain_size
-        entries = []
-        for query in queries:
-            predicate = query.predicates[0]
-            other = 0 if predicate.attribute != 0 else 1
-            entries.append((predicate.attribute, other,
-                            (predicate.low, predicate.high), (0, c - 1)))
-        return self._answer_interval_pairs_batched(entries)
 
 
 class ITDG(TDG):

@@ -93,7 +93,7 @@ class SquareWave(FrequencyOracle):
         density over each output bucket yields the discrete transition
         probabilities.  All ``output_bins x c`` bucket/window overlaps are
         computed in one broadcast, element-for-element identical to the
-        per-column loop kept as :meth:`_build_transition_matrix_loop`.
+        per-column reference loop in ``tests/oracles/``.
         """
         positions = self._input_positions()[None, :]
         edges = self._output_edges()
@@ -106,22 +106,6 @@ class SquareWave(FrequencyOracle):
         matrix = inside * self.p + outside * self.p_prime
         # Normalise columns: tiny numerical drift aside, each column already
         # integrates to 1 because p and p' were chosen that way.
-        matrix /= matrix.sum(axis=0, keepdims=True)
-        return matrix
-
-    def _build_transition_matrix_loop(self) -> np.ndarray:
-        """Original one-column-at-a-time construction (equivalence reference)."""
-        positions = self._input_positions()
-        edges = self._output_edges()
-        lows, highs = edges[:-1], edges[1:]
-        matrix = np.empty((self.output_bins, self.domain_size))
-        for col, v in enumerate(positions):
-            win_lo, win_hi = v - self.delta, v + self.delta
-            inside = np.clip(np.minimum(highs, win_hi) - np.maximum(lows, win_lo),
-                             0.0, None)
-            total = highs - lows
-            outside = total - inside
-            matrix[:, col] = inside * self.p + outside * self.p_prime
         matrix /= matrix.sum(axis=0, keepdims=True)
         return matrix
 
@@ -147,38 +131,6 @@ class SquareWave(FrequencyOracle):
                            domain_lo + u,
                            positions + self.delta + (u - left_len))
         return np.where(in_window, within, outside)
-
-    def perturb_loop(self, values: np.ndarray) -> np.ndarray:
-        """Per-user reference for :meth:`perturb` (equivalence testing).
-
-        Draws the same three uniform batches from the same stream, then
-        evaluates the piecewise report position one user at a time with
-        scalar arithmetic; with equal generator state the reports match
-        the vectorised path bit-for-bit.
-        """
-        values = self._validate_values(values)
-        positions = self._input_positions()[values]
-        n = values.size
-        window_mass = 2.0 * self.delta * self.p
-        window_draws = self.rng.random(n)
-        within_offsets = self.rng.uniform(-self.delta, self.delta, size=n)
-        outside_draws = self.rng.random(n)
-        domain_lo, domain_hi = -self.delta, 1.0 + self.delta
-        reports = np.empty(n)
-        for i in range(n):
-            position = positions[i]
-            left_len = max(position - self.delta - domain_lo, 0.0)
-            right_len = max(domain_hi - (position + self.delta), 0.0)
-            u = outside_draws[i] * (left_len + right_len)
-            if u < left_len:
-                outside = domain_lo + u
-            else:
-                outside = position + self.delta + (u - left_len)
-            if window_draws[i] < window_mass:
-                reports[i] = position + within_offsets[i]
-            else:
-                reports[i] = outside
-        return reports
 
     def _bucketise(self, reports: np.ndarray) -> np.ndarray:
         edges = self._output_edges()

@@ -81,8 +81,7 @@ def enforce_attribute_consistency(views: list[GridView], n_buckets: int) -> np.n
     attribute all view as ``(g2, 1, g2)`` — are stacked into one tensor,
     so one consistency round costs a handful of whole-stack reductions
     instead of one reduction and one adjustment pass per view (the
-    original per-view path is kept as
-    :func:`enforce_attribute_consistency_loop`).
+    original per-view path is the reference in ``tests/oracles/``).
 
     Returns the consensus bucket totals (mainly for testing/inspection);
     the grids referenced by ``views`` are modified in place.
@@ -109,18 +108,4 @@ def enforce_attribute_consistency(views: list[GridView], n_buckets: int) -> np.n
         per_cell = (consensus - current) / (view.cells_per_bucket
                                             * cells.shape[2])
         cells += per_cell[:, None, None]
-    return consensus
-
-
-def enforce_attribute_consistency_loop(views: list[GridView],
-                                       n_buckets: int) -> np.ndarray:
-    """Original per-view implementation (equivalence reference)."""
-    if not views:
-        raise ValueError("need at least one grid view")
-    totals = np.stack([view.bucket_totals(n_buckets) for view in views])
-    weights = np.array([1.0 / view.cells_contributing() for view in views])
-    weights = weights / weights.sum()
-    consensus = weights @ totals
-    for view, current in zip(views, totals):
-        view.apply_adjustment(consensus - current)
     return consensus

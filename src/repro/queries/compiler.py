@@ -1,50 +1,46 @@
-"""Plan compiler: fused NumPy execution layout for typed workloads.
+"""Plan compiler: fused NumPy execution layout for range workloads.
 
-:class:`~repro.queries.QueryPlanner` lowers a mixed workload into a
-flat list of :class:`~repro.queries.RangeQuery` primitives; answering
-that plan still pays a per-call Python pass — re-partitioning thousands
-of primitives by dimension and grid, rebuilding interval tuples, and
-running one combiner closure per query on reassembly.  The compiler
-removes that interpretation tax: :class:`CompiledPlan` walks the plan
-*once* and freezes everything the hot path needs into NumPy index
-arrays:
+Pair-decomposable mechanisms (TDG, HDG, their ablations, CALM, LHIO)
+answer every multi-primitive workload through one layout.
+:func:`group_primitives` walks a flat :class:`~repro.queries.RangeQuery`
+list *once* and freezes it into :class:`ExecutionGroups`: one
+:class:`SingleGroup` per queried attribute (positions + endpoint
+arrays), one :class:`PairGroup` per attribute pair, and for λ > 2
+primitives the flattened C(λ,2) sub-pair layout plus the per-λ
+Weighted-Update constraint structure (:class:`MultiDimGroup`).  The
+mechanism then answers the whole workload with one vectorised gather
+per group and one batched Algorithm-2 iteration per distinct λ — no
+per-primitive Python.
 
-* **execution groups** — primitives partitioned by dimension and
-  attribute signature up front: one :class:`SingleGroup` per queried
-  attribute (positions + endpoint arrays), one :class:`PairGroup` per
-  attribute pair, and for λ > 2 primitives the flattened C(λ,2)
-  sub-pair layout plus the per-λ Weighted-Update constraint structure
-  (:class:`MultiDimGroup`) — so a pair-decomposable mechanism answers
-  the whole workload with one vectorised gather per group and one
-  batched Algorithm-2 iteration per distinct λ, no per-primitive
-  Python;
-* **reassembly arrays** — scalar results (range, point, count) become
-  one fancy-indexed gather with a precomputed scale vector (count
-  queries fold their population in); marginal/top-k tables keep their
-  precomputed slices and shapes.
+A pure range list is grouped directly.  A typed workload first goes
+through :class:`~repro.queries.QueryPlanner` (validation and lowering),
+and :class:`CompiledPlan` adds the **reassembly arrays**: scalar results
+(range, point, count) become one fancy-indexed gather with a
+precomputed scale vector (count queries fold their population in);
+marginal/top-k tables keep their precomputed slices and shapes.
 
 Compiled plans are cached across requests by :class:`PlanCache`, a
 thread-safe bounded LRU keyed by a stable (schema, workload) hash
 (:func:`plan_cache_key`), with hit/miss/eviction counters the serving
-tier surfaces in its health document.
+tier surfaces in its health document.  Range lists skip both the
+planner and the cache.
 
-The compiled path is *semantics-preserving by construction*: every
-group keeps its primitives in plan order and every fused gather runs
-the same vectorised kernels (``Grid1D.answer_ranges``,
-``Grid2D.answer_ranges``, ``weighted_update_batch``) the interpreted
-batch engine runs, so answers match the per-query planner path
-bitwise.  ``tests/test_plan_compiler.py`` pins that differentially for
-all five query kinds across all nine mechanisms.
+Groups keep their primitives in list order and every gather answers a
+range from its own grid corners, so a primitive's answer does not
+depend on how the workload was grouped.  ``tests/test_plan_compiler.py``
+pins the compiled answers against the per-query scalar path and the
+reference assembler in ``tests/oracles/`` for all five query kinds
+across all nine mechanisms.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from threading import Lock
 
 import numpy as np
 
+from ..lru import CountedLRU
 from ..postprocess.norm_sub import norm_sub
 from .ir import (DistributionResult, MarginalQuery, PointQuery,
                  PredicateCountQuery, Query, QueryResult, ScalarResult,
@@ -52,8 +48,9 @@ from .ir import (DistributionResult, MarginalQuery, PointQuery,
 from .planner import QueryPlan, top_k_cells
 from .range_query import RangeQuery
 
-__all__ = ["CompiledPlan", "MultiDimGroup", "PairGroup", "PlanCache",
-           "SingleGroup", "plan_cache_key", "workload_fingerprint"]
+__all__ = ["CompiledPlan", "ExecutionGroups", "MultiDimGroup", "PairGroup",
+           "PlanCache", "SingleGroup", "group_primitives", "plan_cache_key",
+           "workload_fingerprint"]
 
 
 # ----------------------------------------------------------------------
@@ -97,13 +94,16 @@ class MultiDimGroup:
     of its C(λ,2) sub-answers (in
     :meth:`~repro.queries.RangeQuery.pairwise_subqueries` order) inside
     the flat sub-answer vector; ``index_sets`` is Algorithm 2's
-    constraint structure for this λ, precompiled once.
+    constraint structure for this λ, precompiled once.  ``queries``
+    holds the primitives themselves, for combiners that run per query
+    (max entropy).
     """
 
     dimension: int
     positions: np.ndarray
     sub_index_matrix: np.ndarray
     index_sets: list[np.ndarray] = field(repr=False)
+    queries: list[RangeQuery] = field(repr=False)
 
 
 # ----------------------------------------------------------------------
@@ -132,32 +132,107 @@ class _TableLayout:
     top_k: int | None
 
 
+@dataclass(frozen=True)
+class ExecutionGroups:
+    """A flat primitive list partitioned for fused execution.
+
+    Built by :func:`group_primitives`, from a compiled plan's lowered
+    primitives or straight from a range list; pair-decomposable
+    mechanisms answer every group with one vectorised call
+    (``PairwiseBatchAnswering._answer_groups``).
+    """
+
+    n_primitives: int
+    single_groups: list[SingleGroup]
+    pair_groups: list[PairGroup]
+    multi_pair_groups: list[PairGroup]
+    multi_dim_groups: list[MultiDimGroup]
+    n_sub_entries: int
+
+
+def group_primitives(ranges: list[RangeQuery]) -> ExecutionGroups:
+    """Partition range primitives by dimension and attribute signature.
+
+    Groups keep their primitives in list order; a λ > 2 primitive
+    contributes its C(λ,2) sub-pairs (lexicographic by position, the
+    :meth:`~repro.queries.RangeQuery.pairwise_subqueries` order) to the
+    flat sub-answer layout.
+    """
+    singles: dict[int, list[tuple[int, int, int]]] = {}
+    pairs: dict[tuple[int, int], list[tuple[int, int, int, int, int]]] = {}
+    multi_pairs: dict[tuple[int, int],
+                      list[tuple[int, int, int, int, int]]] = {}
+    multis_by_dim: dict[int, tuple[list[int], list[list[int]],
+                                   list[RangeQuery]]] = {}
+    n_sub = 0
+    for index, primitive in enumerate(ranges):
+        predicates = primitive.predicates
+        if len(predicates) == 1:
+            predicate = predicates[0]
+            singles.setdefault(predicate.attribute, []).append(
+                (index, predicate.low, predicate.high))
+        elif len(predicates) == 2:
+            first, second = predicates
+            pairs.setdefault((first.attribute, second.attribute), []).append(
+                (index, first.low, first.high, second.low, second.high))
+        else:
+            sub_indices = []
+            for i in range(len(predicates)):
+                for j in range(i + 1, len(predicates)):
+                    multi_pairs.setdefault(
+                        (predicates[i].attribute,
+                         predicates[j].attribute), []).append(
+                        (n_sub, predicates[i].low, predicates[i].high,
+                         predicates[j].low, predicates[j].high))
+                    sub_indices.append(n_sub)
+                    n_sub += 1
+            positions, rows, queries = multis_by_dim.setdefault(
+                len(predicates), ([], [], []))
+            positions.append(index)
+            rows.append(sub_indices)
+            queries.append(primitive)
+
+    from ..core.query_estimation import lambda_constraint_index_sets
+
+    def pair_group(key, rows) -> PairGroup:
+        data = np.asarray(rows, dtype=np.int64)
+        return PairGroup(key, data[:, 0], data[:, 1], data[:, 2],
+                         data[:, 3], data[:, 4])
+
+    return ExecutionGroups(
+        n_primitives=len(ranges),
+        single_groups=[
+            SingleGroup(attribute, *np.asarray(rows, dtype=np.int64).T)
+            for attribute, rows in singles.items()],
+        pair_groups=[pair_group(key, rows) for key, rows in pairs.items()],
+        multi_pair_groups=[pair_group(key, rows)
+                           for key, rows in multi_pairs.items()],
+        multi_dim_groups=[
+            MultiDimGroup(dimension, np.asarray(positions, dtype=np.int64),
+                          np.asarray(rows, dtype=np.int64),
+                          lambda_constraint_index_sets(dimension), queries)
+            for dimension, (positions, rows, queries)
+            in multis_by_dim.items()],
+        n_sub_entries=n_sub)
+
+
 class CompiledPlan:
     """A :class:`~repro.queries.QueryPlan` frozen into fused index arrays.
 
-    Build with :meth:`from_plan`; mechanisms execute the groups through
-    their vectorised primitives and hand the flat answer vector to
-    :meth:`assemble`.  Mechanisms without fused hooks fall back to
+    Build with :meth:`from_plan`; mechanisms execute :attr:`groups`
+    through their vectorised primitives and hand the flat answer vector
+    to :meth:`assemble`.  Mechanisms without fused hooks answer
     :attr:`flat_ranges` — the plan's primitive list, materialised once
     instead of per call.
     """
 
-    def __init__(self, plan: QueryPlan, flat_ranges: list[RangeQuery],
-                 single_groups: list[SingleGroup],
-                 pair_groups: list[PairGroup],
-                 multi_pair_groups: list[PairGroup],
-                 multi_dim_groups: list[MultiDimGroup],
-                 n_sub_entries: int, scalars: _ScalarLayout,
+    def __init__(self, flat_ranges: list[RangeQuery], n_queries: int,
+                 groups: ExecutionGroups, scalars: _ScalarLayout,
                  tables: list[_TableLayout]):
-        self.plan = plan
         self.flat_ranges = flat_ranges
         self.n_primitives = len(flat_ranges)
-        self.n_queries = len(plan.lowered)
-        self.single_groups = single_groups
-        self.pair_groups = pair_groups
-        self.multi_pair_groups = multi_pair_groups
-        self.multi_dim_groups = multi_dim_groups
-        self.n_sub_entries = n_sub_entries
+        self.n_queries = n_queries
+        self.groups = groups
         self._scalars = scalars
         self._tables = tables
 
@@ -173,17 +248,10 @@ class CompiledPlan:
         marginal's primitives reshape to ``(c,) * λ``); ``population``
         is the fallback scale for count queries that carry none of
         their own — the same value the planner resolved at lowering
-        time, so compiled count answers match the combiner's exactly.
+        time.
         """
         domain_size = int(domain_size)
         flat_ranges: list[RangeQuery] = []
-        singles: dict[int, list[tuple[int, int, int]]] = {}
-        pairs: dict[tuple[int, int], list[tuple[int, int, int, int, int]]] = {}
-        multi_pairs: dict[tuple[int, int],
-                          list[tuple[int, int, int, int, int]]] = {}
-        multis_by_dim: dict[int, tuple[list[int], list[list[int]]]] = {}
-        n_sub = 0
-
         scalar_positions: list[int] = []
         scalar_queries: list[Query] = []
         scalar_primitives: list[int] = []
@@ -194,36 +262,7 @@ class CompiledPlan:
         for result_position, entry in enumerate(plan.lowered):
             query = entry.query
             start = len(flat_ranges)
-            for primitive in entry.ranges:
-                index = len(flat_ranges)
-                flat_ranges.append(primitive)
-                predicates = primitive.predicates
-                if len(predicates) == 1:
-                    predicate = predicates[0]
-                    singles.setdefault(predicate.attribute, []).append(
-                        (index, predicate.low, predicate.high))
-                elif len(predicates) == 2:
-                    first, second = predicates
-                    pairs.setdefault((first.attribute, second.attribute),
-                                     []).append(
-                        (index, first.low, first.high, second.low, second.high))
-                else:
-                    sub_indices = []
-                    # Same lexicographic-by-position order as
-                    # pairwise_subqueries / the interpreted multi path.
-                    for i in range(len(predicates)):
-                        for j in range(i + 1, len(predicates)):
-                            multi_pairs.setdefault(
-                                (predicates[i].attribute,
-                                 predicates[j].attribute), []).append(
-                                (n_sub, predicates[i].low, predicates[i].high,
-                                 predicates[j].low, predicates[j].high))
-                            sub_indices.append(n_sub)
-                            n_sub += 1
-                    positions, rows = multis_by_dim.setdefault(
-                        len(predicates), ([], []))
-                    positions.append(index)
-                    rows.append(sub_indices)
+            flat_ranges.extend(entry.ranges)
             stop = len(flat_ranges)
 
             if isinstance(query, (RangeQuery, PointQuery)):
@@ -254,30 +293,10 @@ class CompiledPlan:
             else:  # pragma: no cover - planner rejects unknown kinds first
                 raise TypeError(f"cannot compile {type(query).__name__}")
 
-        from ..core.query_estimation import lambda_constraint_index_sets
-
-        def pair_group(key, rows) -> PairGroup:
-            data = np.asarray(rows, dtype=np.int64)
-            return PairGroup(key, data[:, 0], data[:, 1], data[:, 2],
-                             data[:, 3], data[:, 4])
-
         return cls(
-            plan=plan,
             flat_ranges=flat_ranges,
-            single_groups=[
-                SingleGroup(attribute, *np.asarray(rows, dtype=np.int64).T)
-                for attribute, rows in singles.items()],
-            pair_groups=[pair_group(key, rows)
-                         for key, rows in pairs.items()],
-            multi_pair_groups=[pair_group(key, rows)
-                               for key, rows in multi_pairs.items()],
-            multi_dim_groups=[
-                MultiDimGroup(dimension,
-                              np.asarray(positions, dtype=np.int64),
-                              np.asarray(rows, dtype=np.int64),
-                              lambda_constraint_index_sets(dimension))
-                for dimension, (positions, rows) in multis_by_dim.items()],
-            n_sub_entries=n_sub,
+            n_queries=len(plan.lowered),
+            groups=group_primitives(flat_ranges),
             scalars=_ScalarLayout(scalar_positions, scalar_queries,
                                   np.asarray(scalar_primitives,
                                              dtype=np.int64),
@@ -353,65 +372,18 @@ def plan_cache_key(schema: tuple, queries) -> tuple:
     return (*schema, workload_fingerprint(queries))
 
 
-class PlanCache:
+class PlanCache(CountedLRU):
     """Thread-safe bounded LRU of compiled plans with usage counters.
 
-    ``get``/``put`` are guarded by one lock; compilation itself runs
-    outside it, so concurrent misses may compile the same plan twice —
-    the second ``put`` wins, both plans answer identically, and
-    ``hits + misses`` always equals the number of lookups.
+    Compilation runs outside the cache lock, so concurrent misses may
+    compile the same plan twice — the second ``put`` wins, both plans
+    answer identically, and ``hits + misses`` always equals the number
+    of lookups.
     """
 
     def __init__(self, capacity: int = 8):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = int(capacity)
-        self._lock = Lock()
-        self._entries: dict[tuple, CompiledPlan] = {}
-        self._order: list[tuple] = []
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        super().__init__(capacity)
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def values(self) -> list[CompiledPlan]:
-        """The cached plans, least recently used first."""
-        with self._lock:
-            return [self._entries[key] for key in self._order]
-
-    def get(self, key: tuple) -> CompiledPlan | None:
-        with self._lock:
-            plan = self._entries.get(key)
-            if plan is None:
-                self.misses += 1
-                return None
-            self.hits += 1
-            self._order.remove(key)
-            self._order.append(key)
-            return plan
-
-    def put(self, key: tuple, plan: CompiledPlan) -> None:
-        with self._lock:
-            if key in self._entries:
-                self._order.remove(key)
-            self._entries[key] = plan
-            self._order.append(key)
-            while len(self._order) > self.capacity:
-                evicted = self._order.pop(0)
-                del self._entries[evicted]
-                self.evictions += 1
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._order.clear()
-
-    def stats(self) -> dict:
-        """Counters for health documents and the concurrency tests."""
-        with self._lock:
-            return {"size": len(self._entries), "capacity": self.capacity,
-                    "hits": self.hits, "misses": self.misses,
-                    "evictions": self.evictions}
+    # ``perfbench/traced_serve.py`` counts plan-cache hits by wrapping
+    # ``PlanCache.__dict__["get"]``, so the lookup is bound here too.
+    get = CountedLRU.get

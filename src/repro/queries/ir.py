@@ -271,7 +271,7 @@ def query_kind(query) -> str:
 # Typed results
 # ----------------------------------------------------------------------
 class QueryResult(abc.ABC):
-    """Base of the typed answers :meth:`QueryPlan.assemble` produces."""
+    """Base of the typed answers :meth:`~repro.queries.CompiledPlan.assemble` produces."""
 
     query: Query
 

@@ -1,17 +1,15 @@
-"""Workload planner: compiles typed IR queries onto range primitives.
+"""Workload planner: validates typed IR queries and lowers them to ranges.
 
-The :class:`QueryPlanner` is the compiler layer between the logical
-query surface (:mod:`repro.queries.ir`) and the mechanisms' physical
+The :class:`QueryPlanner` is the layer between the logical query
+surface (:mod:`repro.queries.ir`) and the mechanisms' physical
 primitives (batched range answering over 1-D/2-D grid estimates).  A
 mixed workload is *planned* once — every query is validated against the
 fitted schema, checked against the answering mechanism's declared
-capabilities, and lowered into a flat list of
-:class:`~repro.queries.RangeQuery` primitives — the mechanism answers
-the flat list through its existing batch engine, and the resulting
-:class:`QueryPlan` reassembles the primitive answers into typed results:
+capabilities, and lowered into :class:`~repro.queries.RangeQuery`
+primitives:
 
 ========  =====================================  ========================
-Kind      Lowering                               Combiner
+Kind      Lowering                               Reassembly
 ========  =====================================  ========================
 range     itself (one primitive)                 identity
 point     one degenerate width-1 range           identity
@@ -21,32 +19,23 @@ topk      the full marginal's cell ranges        Norm-Sub, then arg-top-k
 ========  =====================================  ========================
 
 Because every lowering lands on range primitives, all nine mechanisms
-answer every query type through one answering stack, and the batch
-engine's grouping (by dimension, by grid) applies unchanged — a 2-D
+answer every query type through one answering stack — a 2-D
 marginal's ``c²`` cells become one grouped, vectorised corner-lookup
-batch.
-
-The serving hot path does not interpret a :class:`QueryPlan` per
-request: :mod:`repro.queries.compiler` lowers a plan once into fused
-NumPy index arrays (:class:`~repro.queries.compiler.CompiledPlan`) and
-caches the result across requests in a bounded LRU
-(:class:`~repro.queries.compiler.PlanCache`).  The planner remains the
-validation and lowering authority; the compiler is a faster executor of
-the exact same lowering, and ``tests/test_plan_compiler.py`` pins the
-two paths to bitwise-identical answers.
+batch.  The planner only validates and lowers:
+:mod:`repro.queries.compiler` turns a :class:`QueryPlan` into fused
+execution groups plus the vectorised reassembly
+(:class:`~repro.queries.compiler.CompiledPlan`) and caches the result
+across requests (:class:`~repro.queries.compiler.PlanCache`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from ..postprocess.norm_sub import norm_sub
-from .ir import (QUERY_KINDS, DistributionResult, MarginalQuery, PointQuery,
-                 PredicateCountQuery, Query, QueryResult, ScalarResult,
-                 TopKQuery, TopKResult, query_kind)
+from .ir import (QUERY_KINDS, MarginalQuery, PointQuery, PredicateCountQuery,
+                 Query, TopKQuery, query_kind)
 from .range_query import RangeQuery
 
 #: Capability set granting every query kind (the library-wide default:
@@ -74,20 +63,19 @@ def top_k_cells(values: np.ndarray, k: int) -> tuple[tuple[tuple[int, ...], ...]
 
 @dataclass
 class LoweredQuery:
-    """One planned query: its primitive ranges plus the reassembly step."""
+    """One planned query and the range primitives it lowers to."""
 
     query: Query
     ranges: list[RangeQuery]
-    combine: Callable[[np.ndarray], QueryResult]
 
 
 @dataclass
 class QueryPlan:
-    """A compiled workload: flat primitives plus per-query reassembly.
+    """A validated, lowered workload.
 
-    ``ranges`` is the concatenation of every lowered query's primitives
-    in workload order; :meth:`assemble` slices a flat answer vector back
-    into one typed result per original query.
+    Every query keeps its primitives in workload order;
+    :class:`~repro.queries.compiler.CompiledPlan` turns the plan into
+    fused execution groups and the vectorised reassembly layout.
     """
 
     lowered: list[LoweredQuery]
@@ -107,21 +95,6 @@ class QueryPlan:
     def n_primitives(self) -> int:
         """Total number of range primitives the plan executes."""
         return sum(len(entry.ranges) for entry in self.lowered)
-
-    def assemble(self, answers: np.ndarray) -> list[QueryResult]:
-        """Slice flat primitive answers into typed per-query results."""
-        answers = np.asarray(answers, dtype=float)
-        if answers.shape != (self.n_primitives,):
-            raise ValueError(
-                f"plan expects {self.n_primitives} primitive answers, got "
-                f"shape {answers.shape}")
-        results = []
-        start = 0
-        for entry in self.lowered:
-            stop = start + len(entry.ranges)
-            results.append(entry.combine(answers[start:stop]))
-            start = stop
-        return results
 
 
 class QueryPlanner:
@@ -200,40 +173,23 @@ class QueryPlanner:
     # ------------------------------------------------------------------
     def lower(self, query: Query,
               position: int | None = None) -> LoweredQuery:
-        """Lower one validated query to primitives plus its combiner."""
+        """Lower one validated query to its range primitives.
+
+        A count query's population is resolved here, so a workload the
+        mechanism cannot scale fails at planning time.
+        """
         if isinstance(query, RangeQuery):
-            return LoweredQuery(query, [query],
-                                lambda a, q=query: ScalarResult(q, float(a[0])))
+            return LoweredQuery(query, [query])
         if isinstance(query, PointQuery):
-            return LoweredQuery(query, [query.as_range()],
-                                lambda a, q=query: ScalarResult(q, float(a[0])))
+            return LoweredQuery(query, [query.as_range()])
         if isinstance(query, PredicateCountQuery):
-            population = self.resolve_population(query, position)
-            return LoweredQuery(
-                query, [query.as_range()],
-                lambda a, q=query, n=population: ScalarResult(
-                    q, float(a[0]) * n, population=n))
+            self.resolve_population(query, position)
+            return LoweredQuery(query, [query.as_range()])
         if isinstance(query, MarginalQuery):
-            shape = (self.domain_size,) * query.dimension
-
-            def combine_marginal(a, q=query, s=shape):
-                """Reshape the flat cell answers into the λ-D table."""
-                return DistributionResult(q, np.asarray(a, dtype=float).reshape(s))
-
-            return LoweredQuery(query, query.to_ranges(self.domain_size),
-                                combine_marginal)
+            return LoweredQuery(query, query.to_ranges(self.domain_size))
         if isinstance(query, TopKQuery):
-            marginal = query.marginal()
-            shape = (self.domain_size,) * marginal.dimension
-
-            def combine_topk(a, q=query, s=shape):
-                """Norm-Sub the estimated table, then take the arg-top-k."""
-                table = norm_sub(np.asarray(a, dtype=float).reshape(s))
-                cells, values = top_k_cells(table, q.k)
-                return TopKResult(q, cells, values)
-
-            return LoweredQuery(query, marginal.to_ranges(self.domain_size),
-                                combine_topk)
+            return LoweredQuery(
+                query, query.marginal().to_ranges(self.domain_size))
         raise TypeError(f"cannot plan {type(query).__name__}; known kinds: "
                         f"{', '.join(QUERY_KINDS)}")
 

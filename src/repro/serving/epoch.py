@@ -38,6 +38,7 @@ import threading
 
 import numpy as np
 
+from ..lru import CountedLRU
 from ..queries import Query, QueryResult, ScalarResult
 from ..queries.range_query import RangeQuery
 
@@ -82,7 +83,7 @@ class _CachedAnswer:
         self.wire: dict | None = None
 
 
-class AnswerCache:
+class AnswerCache(CountedLRU):
     """Thread-safe bounded LRU of answered workloads with counters.
 
     Keys are ``(epoch_id, *queries)`` tuples, so entries from a
@@ -92,57 +93,10 @@ class AnswerCache:
     benchmarks use to measure the uncached fast path honestly.
     """
 
+    min_capacity = 0
+
     def __init__(self, capacity: int = DEFAULT_ANSWER_CACHE_ENTRIES):
-        if capacity < 0:
-            raise ValueError("capacity must be >= 0 (0 disables caching)")
-        self.capacity = int(capacity)
-        self._lock = threading.Lock()
-        self._entries: dict[tuple, _CachedAnswer] = {}
-        self._order: list[tuple] = []
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def get(self, key: tuple) -> _CachedAnswer | None:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self.hits += 1
-            self._order.remove(key)
-            self._order.append(key)
-            return entry
-
-    def put(self, key: tuple, entry: _CachedAnswer) -> None:
-        if self.capacity == 0:
-            return
-        with self._lock:
-            if key in self._entries:
-                self._order.remove(key)
-            self._entries[key] = entry
-            self._order.append(key)
-            while len(self._order) > self.capacity:
-                evicted = self._order.pop(0)
-                del self._entries[evicted]
-                self.evictions += 1
-
-    def clear(self) -> None:
-        """Drop every entry (counters keep accumulating)."""
-        with self._lock:
-            self._entries.clear()
-            self._order.clear()
-
-    def stats(self) -> dict:
-        """Counters for health documents and the concurrency tests."""
-        with self._lock:
-            return {"size": len(self._entries), "capacity": self.capacity,
-                    "hits": self.hits, "misses": self.misses,
-                    "evictions": self.evictions}
+        super().__init__(capacity)
 
 
 class EstimatorEpoch:
@@ -265,16 +219,16 @@ class EstimatorEpoch:
         """Validated range primitives through the estimator's batch path.
 
         Identical calls to ``answer_workload`` on the estimator —
-        validation then ``_answer_ranges`` — without re-running the
+        validation then ``_answer_workload`` — without re-running the
         kind dispatch the caller already performed.
         """
         estimator = self.estimator
         for query in queries:
             estimator._validate_query(query)
         if self._answer_lock is None:
-            return estimator._answer_ranges(list(queries))
+            return estimator._answer_workload(list(queries))
         with self._answer_lock:
-            return estimator._answer_ranges(list(queries))
+            return estimator._answer_workload(list(queries))
 
     def _compute_typed(self, queries: tuple) -> list[QueryResult]:
         """Compile (memoized), batch-answer, reassemble — one workload.

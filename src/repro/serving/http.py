@@ -270,14 +270,26 @@ class ServingRequestHandler(BaseHTTPRequestHandler):
 
         Always consumes the full ``Content-Length`` before raising, so
         a malformed body never desynchronizes a keep-alive connection.
+        A length that is not a non-negative integer leaves the body's
+        end unknown: it is rejected without reading (``rfile.read(-1)``
+        would block until the peer closes) and the connection closes.
         """
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        if not (header.isascii() and header.isdigit()):
+            self.close_connection = True
+            raise ValueError(f"Content-Length must be a non-negative "
+                             f"integer, got {header!r}")
+        length = int(header)
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
-        document = json.loads(raw)
+        try:
+            document = json.loads(raw)
+        except ValueError as error:
+            raise ValueError(f"invalid JSON body ({error})") from error
         if not isinstance(document, dict):
-            raise ValueError("request body must be a JSON object")
+            raise ValueError("invalid JSON body (request body must be a "
+                             "JSON object)")
         return document
 
     # ------------------------------------------------------------------
@@ -412,8 +424,10 @@ class ServingRequestHandler(BaseHTTPRequestHandler):
         try:
             payload = self._read_json()
         except ValueError as error:
-            self._send_error_json(400, "bad-request",
-                                  f"bad request: invalid JSON body ({error})")
+            self._send_json(400, {"error": f"bad request: {error}",
+                                  "code": "bad-request"},
+                            headers=({"Connection": "close"}
+                                     if self.close_connection else None))
             return
         path, params = self._split_path()
         try:

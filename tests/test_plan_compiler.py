@@ -1,20 +1,28 @@
-"""Differential harness pinning the fused plan compiler to the planner.
+"""Differential harness pinning the fused execution groups.
 
-The compiled execution path (:mod:`repro.queries.compiler`) must be a
-pure performance change: for every mechanism and every query kind,
-``answer_typed`` through the fused gather/reassembly pass has to
-reproduce the interpreted :class:`~repro.queries.QueryPlan` path — and
-the per-query planner path — **bitwise**.  Bitwise (not approximate)
-equality is assertable because grid corner lookups answer each range
-from its own four corners, scalar reassembly multiplies each primitive
-by its own scale, and both paths hand ``weighted_update_batch`` the
-same λ>2 rows in the same batches.  Its rows are *not* independent of
-their batch-mates at the last ulp: constraint sums add left to right
-while two or more rows are active and pairwise once one row is left, so
-a row's bits depend on whether it outlives the others.  That is why
-re-batching λ>2 rows one query at a time may move them by an ulp — the
-single exception, confined to the per-query reference and documented
-on :func:`assert_results_bitwise_equal`.
+Every multi-primitive workload of a pair-decomposable mechanism runs
+through :class:`~repro.queries.compiler.ExecutionGroups`.  The harness
+pins those answers, for every mechanism and every query kind, against
+the strictest reference there is: each primitive answered alone by the
+mechanism's scalar ``_answer`` and reassembled by the per-query closure
+assembler kept in ``tests/oracles/plan_assembly.py``.  The comparison
+is **bitwise**: grid corner lookups answer each range from its own four
+corners and scalar reassembly multiplies each primitive by its own
+scale, so grouping cannot move a bit.
+
+Two places carry ``rtol=1e-9`` (see :func:`assert_results_bitwise_equal`):
+
+* batched λ > 2 rows.  ``weighted_update_batch`` adds a constraint's
+  cells left to right while two or more rows are active and pairwise
+  once one row is left, so a row's last ulp depends on whether it
+  outlives its batch-mates;
+* LHIO, whose scalar ``_answer_pair`` sums level blocks with
+  ``ndarray.sum`` while the fused kernel scatter-adds with ``bincount``
+  (measured drift 2.2e-16).
+
+Exact composition pins cover what the tolerance forgives: fused λ > 2
+answers equal ``weighted_update_batch`` run on scalar pair answers
+bitwise, and max entropy equals the per-query combiner bitwise.
 
 Also covers the :class:`~repro.queries.PlanCache` LRU/counter contract
 and multi-threaded answering through a tiny cache under eviction
@@ -29,10 +37,15 @@ import numpy as np
 import pytest
 
 from repro import build_mechanism, make_dataset
+from repro.core import estimate_lambda_query, lambda_constraint_index_sets
+from repro.estimation import weighted_update_batch
 from repro.queries import (CompiledPlan, PlanCache, WorkloadGenerator,
                            plan_cache_key, workload_fingerprint)
 from repro.queries.ir import (DistributionResult, ScalarResult, TopKResult,
                               query_kind)
+
+from oracles.answering_loops import mechanism_answer_loop
+from oracles.plan_assembly import assemble
 
 ALL_MECHANISMS = ("Uni", "MSW", "CALM", "HIO", "LHIO",
                   "TDG", "HDG", "ITDG", "IHDG")
@@ -61,26 +74,22 @@ def seeded_mixed_workload(n_queries: int, dimension: int, seed: int,
                                     table_dimension=table_dimension)
 
 
-def assert_results_bitwise_equal(fused, reference, rtol: float = 0.0):
+def assert_results_bitwise_equal(fused, reference, rtol: float = 0.0,
+                                 atol: float = 0.0):
     """Typed results from the fused path == the reference path, bitwise.
 
-    The default is exact (no tolerance): see the module docstring —
-    both paths batch λ>2 rows identically, so there is no float
-    reassociation to forgive.  The one exception is comparing a
-    *batched* run against a *per-query* run of λ>2 estimation:
-    ``weighted_update_batch`` adds a constraint's cells left to right
-    while two or more rows are active and in NumPy's pairwise order for
-    a lone row, so re-batching reassociates sums of eight or more
-    cells.  Observed divergence is one ulp (~1e-16); callers pass
-    ``rtol=1e-9`` there, a bound a million times looser than the effect
-    it forgives.
+    The default is exact (no tolerance).  Callers pass ``rtol=1e-9``
+    only for the two carve-outs named in the module docstring — a
+    bound a million times looser than the one-ulp effects it forgives
+    — and ``atol=1e-9`` when the reference is a per-cell loop that sums
+    in a different order.
     """
     assert len(fused) == len(reference)
 
     def values_equal(left_values, right_values) -> bool:
-        if rtol == 0.0:
+        if rtol == 0.0 and atol == 0.0:
             return np.array_equal(left_values, right_values)
-        return np.allclose(left_values, right_values, rtol=rtol, atol=0.0)
+        return np.allclose(left_values, right_values, rtol=rtol, atol=atol)
 
     for left, right in zip(fused, reference):
         assert type(left) is type(right)
@@ -98,24 +107,23 @@ def assert_results_bitwise_equal(fused, reference, rtol: float = 0.0):
             raise AssertionError(f"unhandled result type {type(left)!r}")
 
 
-def interpreted_reference(mechanism, queries):
-    """The pre-compiler path: plan once, answer the flat list, assemble."""
+def scalar_reference(mechanism, queries, answer_ranges=None):
+    """Each primitive answered alone, reassembled by the closure oracle.
+
+    ``answer_ranges`` replaces the per-primitive scalar ``_answer``
+    (e.g. with the per-cell reference loops).
+    """
     plan = mechanism.query_planner().plan(queries)
-    return plan.assemble(mechanism._answer_ranges(plan.ranges))
-
-
-def per_query_reference(mechanism, queries):
-    """The strictest reference: each query planned and answered alone."""
-    planner = mechanism.query_planner()
-    results = []
-    for query in queries:
-        plan = planner.plan([query])
-        results.extend(plan.assemble(mechanism._answer_ranges(plan.ranges)))
-    return results
+    if answer_ranges is None:
+        answers = [mechanism._answer(primitive) for primitive in plan.ranges]
+    else:
+        answers = answer_ranges(mechanism, plan.ranges)
+    return assemble(plan, answers, mechanism._domain_size,
+                    population=mechanism.population)
 
 
 # ----------------------------------------------------------------------
-# Differential: fused == interpreted == per-query, all nine mechanisms
+# Differential: fused == per-query scalar reference, all nine mechanisms
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", ALL_MECHANISMS)
 def test_fused_matches_planner_paths_all_mechanisms(name, dataset):
@@ -125,10 +133,8 @@ def test_fused_matches_planner_paths_all_mechanisms(name, dataset):
         "count", "marginal", "point", "range", "topk"]
 
     fused = mechanism.answer_typed(queries)
-    assert_results_bitwise_equal(fused, interpreted_reference(mechanism,
-                                                              queries))
-    assert_results_bitwise_equal(fused, per_query_reference(mechanism,
-                                                            queries))
+    assert_results_bitwise_equal(fused, scalar_reference(mechanism, queries),
+                                 rtol=1e-9 if name == "LHIO" else 0.0)
     # Answering again from the warm plan cache changes nothing.
     assert_results_bitwise_equal(fused, mechanism.answer_typed(queries))
 
@@ -136,55 +142,154 @@ def test_fused_matches_planner_paths_all_mechanisms(name, dataset):
 @pytest.mark.parametrize("name", ["TDG", "HDG", "ITDG", "IHDG"])
 def test_fused_matches_planner_paths_lambda3(name, dataset):
     # λ=3 ranges exercise the multi-dimensional weighted-update groups
-    # (sub-answer gather matrix + one batched estimation call).
+    # (sub-answer gather matrix + one batched estimation call).  The
+    # scalar reference re-batches the λ=3 rows one at a time, so this
+    # comparison carries the λ > 2 tolerance; the exact composition is
+    # pinned by test_fused_lambda_rows_compose_scalar_pair_answers.
     mechanism = fitted(name, dataset)
     queries = seeded_mixed_workload(18, 3, seed=202)
-    fused = mechanism.answer_typed(queries)
-    assert_results_bitwise_equal(fused, interpreted_reference(mechanism,
-                                                              queries))
-    # Per-query answering re-batches the λ=3 weighted-update rows one at
-    # a time; that reassociates NumPy's pairwise axis-sums (see the
-    # helper's docstring), so this comparison — and only this one —
-    # carries a tolerance.
-    assert_results_bitwise_equal(fused,
-                                 per_query_reference(mechanism, queries),
+    assert_results_bitwise_equal(mechanism.answer_typed(queries),
+                                 scalar_reference(mechanism, queries),
                                  rtol=1e-9)
 
 
 def test_fused_matches_planner_paths_max_entropy(dataset):
-    # λ>2 under max-entropy estimation takes the fallback (per-plan)
-    # path inside _answer_compiled; the answers must still agree.
+    # Max entropy runs per row of each λ > 2 group on the gathered
+    # sub-answers — the same computation as the scalar path, bitwise.
     mechanism = fitted("TDG", dataset, estimation_method="max_entropy",
                        estimation_iterations=50)
     queries = seeded_mixed_workload(12, 3, seed=303)
-    fused = mechanism.answer_typed(queries)
-    assert_results_bitwise_equal(fused, interpreted_reference(mechanism,
-                                                              queries))
+    assert_results_bitwise_equal(mechanism.answer_typed(queries),
+                                 scalar_reference(mechanism, queries))
 
 
 @pytest.mark.parametrize("name", ["TDG", "HDG"])
-def test_fused_matches_legacy_toggle(name, dataset):
-    # use_legacy_answering must bypass the fused kernels entirely and
-    # still agree with the interpreted reference under the same toggle.
+def test_fused_matches_reference_loops(name, dataset):
+    # The per-cell reference loops sum in cell order, the prefix-sum
+    # kernels by corner differences: equal to 1e-9, not bitwise.  Top-k
+    # is left out: cells inside one grid cell tie exactly under the
+    # uniformity rule, so an ulp reorders the selection.
     mechanism = fitted(name, dataset)
-    mechanism.use_legacy_answering = True
-    queries = seeded_mixed_workload(12, 2, seed=404)
-    fused = mechanism.answer_typed(queries)
-    assert_results_bitwise_equal(fused, interpreted_reference(mechanism,
-                                                              queries))
-    mechanism.use_legacy_answering = False
+    queries = [query for query in seeded_mixed_workload(12, 2, seed=404)
+               if query_kind(query) != "topk"]
+    assert_results_bitwise_equal(
+        mechanism.answer_typed(queries),
+        scalar_reference(mechanism, queries,
+                         answer_ranges=mechanism_answer_loop),
+        atol=1e-9)
 
 
 def test_randomized_workloads_sweep(dataset):
     # Seeded randomized sweep: many small workloads with varying shape,
-    # one fused-vs-interpreted check per draw.
+    # one fused-vs-scalar check per draw.
     mechanism = fitted("HDG", dataset)
     for draw, seed in enumerate(range(500, 508)):
         dimension = 2 + (draw % 2)
         queries = seeded_mixed_workload(6 + draw, dimension, seed=seed)
         assert_results_bitwise_equal(
             mechanism.answer_typed(queries),
-            interpreted_reference(mechanism, queries))
+            scalar_reference(mechanism, queries),
+            rtol=1e-9 if dimension > 2 else 0.0)
+
+
+# ----------------------------------------------------------------------
+# Range lists: the same groups, no planner, exact composition pins
+# ----------------------------------------------------------------------
+WIDE_ATTRIBUTES = 5
+
+
+@pytest.fixture(scope="module")
+def wide_dataset():
+    rng = np.random.default_rng(SEED + 1)
+    return make_dataset("normal", N_USERS, WIDE_ATTRIBUTES, DOMAIN_SIZE,
+                        rng=rng)
+
+
+def range_workload(dimensions, per_dimension: int, seed: int) -> list:
+    generator = WorkloadGenerator(WIDE_ATTRIBUTES, DOMAIN_SIZE,
+                                  rng=np.random.default_rng(seed))
+    queries = []
+    for dimension in dimensions:
+        queries.extend(generator.random_workload(per_dimension, dimension,
+                                                 0.5))
+    order = np.random.default_rng(seed + 1).permutation(len(queries))
+    return [queries[index] for index in order]
+
+
+TDG_FAMILY = ("TDG", "HDG", "ITDG", "IHDG", "CALM")
+
+
+@pytest.mark.parametrize("name", TDG_FAMILY)
+def test_single_query_workload_equals_scalar_answer(name, wide_dataset):
+    # A one-query workload runs the same kernels as answer(q): the
+    # one-row Weighted Update kernel for λ > 2, bitwise.
+    mechanism = fitted(name, wide_dataset)
+    for query in range_workload((1, 2, 3, 4, 5), 8, seed=1100):
+        assert np.array_equal(mechanism.answer_workload([query]),
+                              [mechanism.answer(query)])
+
+
+@pytest.mark.parametrize("name", TDG_FAMILY)
+def test_fused_lambda_rows_compose_scalar_pair_answers(name, wide_dataset):
+    # Fused λ > 2 answers == weighted_update_batch over targets built from
+    # the scalar _answer_pair of every sub-query, one batch per λ in
+    # workload order — bitwise.
+    mechanism = fitted(name, wide_dataset)
+    queries = range_workload((1, 2, 3, 4), 15, seed=1200)
+    fused = mechanism.answer_workload(queries)
+    for dimension in (3, 4):
+        positions = [position for position, query in enumerate(queries)
+                     if query.dimension == dimension]
+        index_sets = lambda_constraint_index_sets(dimension)
+        targets = np.ones((len(positions), len(index_sets)))
+        for row, position in enumerate(positions):
+            targets[row, :-1] = np.maximum(0.0, [
+                mechanism._answer_pair(sub)
+                for sub in queries[position].pairwise_subqueries()])
+        expected = weighted_update_batch(
+            1 << dimension, index_sets, targets,
+            max_iterations=mechanism.estimation_iterations)
+        assert np.array_equal(fused[positions], expected[:, -1])
+
+
+@pytest.mark.parametrize("name", ["TDG", "HDG", "LHIO"])
+def test_fused_max_entropy_equals_per_query_estimate(name, wide_dataset):
+    mechanism = fitted(name, wide_dataset, estimation_method="max_entropy")
+    queries = range_workload((3, 4), 4, seed=1300)
+    expected = [estimate_lambda_query(
+        query, mechanism._answer_pair, method="max_entropy",
+        max_iterations=mechanism.estimation_iterations) for query in queries]
+    fused = mechanism.answer_workload(queries)
+    if name == "LHIO":
+        np.testing.assert_allclose(fused, expected, rtol=1e-9, atol=0.0)
+    else:
+        assert np.array_equal(fused, expected)
+
+
+def test_lhio_lazy_levels_draw_in_workload_order(wide_dataset):
+    # Over-limit levels draw noise on first touch: the batch path must
+    # answer in workload order, leaving the same answers and the same
+    # generator state as answering query by query.
+    queries = range_workload((1, 2, 3), 6, seed=1400)
+    batch = fitted("LHIO", wide_dataset, materialize_limit=16)
+    one_by_one = fitted("LHIO", wide_dataset, materialize_limit=16)
+    typed = fitted("LHIO", wide_dataset, materialize_limit=16)
+    answers = batch.answer_workload(queries)
+    assert np.array_equal(answers,
+                          [one_by_one.answer(query) for query in queries])
+    assert np.array_equal([result.value
+                           for result in typed.answer_typed(queries)],
+                          answers)
+    state = one_by_one.rng.bit_generator.state
+    assert batch.rng.bit_generator.state == state
+    assert typed.rng.bit_generator.state == state
+
+
+def test_range_lists_skip_the_plan_cache(wide_dataset):
+    mechanism = fitted("HDG", wide_dataset)
+    before = mechanism.plan_cache_stats()
+    mechanism.answer_workload(range_workload((1, 2, 3), 5, seed=1500))
+    assert mechanism.plan_cache_stats() == before
 
 
 # ----------------------------------------------------------------------
@@ -198,6 +303,7 @@ def test_compiled_plan_counts_and_shape_check(dataset):
                                       population=N_USERS)
     assert compiled.n_queries == len(queries)
     assert compiled.n_primitives == plan.n_primitives
+    assert compiled.groups.n_primitives == plan.n_primitives
     assert len(compiled.flat_ranges) == plan.n_primitives
     with pytest.raises(ValueError, match="primitive answers"):
         compiled.assemble(np.zeros(compiled.n_primitives + 1))

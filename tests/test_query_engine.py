@@ -1,9 +1,10 @@
 """Property tests for the prefix-sum batch query engine.
 
-The engine must reproduce the legacy per-query, per-cell answering path
-bit-for-bit (tolerance 1e-9) on randomised grids, intervals, response
-matrices and mixed-λ workloads, for the grid mechanisms and every
-baseline that answers ranges.
+The engine must reproduce the legacy per-query, per-cell answering
+loops — kept as references in ``tests/oracles/answering_loops.py`` — to
+a tolerance of 1e-9 on randomised grids, intervals, response matrices
+and mixed-λ workloads, for the grid mechanisms and every baseline that
+answers ranges.
 """
 
 import numpy as np
@@ -11,14 +12,15 @@ import pytest
 
 from repro.baselines import CALM, HIO, LHIO, MSW, Uniform
 from repro.core import (HDG, TDG, Grid1D, Grid2D, PrefixIndex1D,
-                        PrefixIndex2D, SummedAreaTable,
-                        estimate_lambda_queries_batched,
-                        estimate_lambda_query, prefix_sum_1d,
+                        PrefixIndex2D, SummedAreaTable, prefix_sum_1d,
                         summed_area_table)
 from repro.datasets import Dataset
 from repro.estimation import (Constraint, weighted_update,
                               weighted_update_batch)
 from repro.queries import RangeQuery, WorkloadGenerator
+from oracles.answering_loops import (grid1d_answer_range_loop,
+                                     grid2d_answer_range_loop,
+                                     mechanism_answer_loop)
 
 
 def mixed_workload(n_attributes, domain_size, per_dimension=10, seed=7,
@@ -36,10 +38,9 @@ def mixed_workload(n_attributes, domain_size, per_dimension=10, seed=7,
 
 
 def assert_engine_matches_legacy(mechanism, queries, tolerance=1e-9):
-    """Answer the same fitted state through both paths and compare."""
-    mechanism.use_legacy_answering = True
-    legacy = mechanism.answer_workload(queries)
-    mechanism.use_legacy_answering = False
+    """Answer the same fitted state through the engine and the legacy
+    reference loops and compare."""
+    legacy = mechanism_answer_loop(mechanism, queries)
     batch = mechanism.answer_workload(queries)
     np.testing.assert_allclose(batch, legacy, rtol=0.0, atol=tolerance)
     # Single-query answering must agree with the batch path too.
@@ -96,7 +97,7 @@ def test_grid1d_engine_matches_loop(rng, domain_size, granularity):
         low = int(rng.integers(0, domain_size))
         high = int(rng.integers(low, domain_size))
         assert grid.answer_range(low, high) == pytest.approx(
-            grid.answer_range_loop(low, high), abs=1e-9)
+            grid1d_answer_range_loop(grid, low, high), abs=1e-9)
 
 
 @pytest.mark.parametrize("domain_size,granularity", [
@@ -115,9 +116,10 @@ def test_grid2d_engine_matches_loop(rng, domain_size, granularity):
         intervals = ((row_low, row_high), (col_low, col_high))
         # Uniformity rule (TDG)
         assert grid.answer_range(*intervals) == pytest.approx(
-            grid.answer_range_loop(*intervals), abs=1e-9)
+            grid2d_answer_range_loop(grid, *intervals), abs=1e-9)
         # Response-matrix rule (HDG), with and without precomputed SAT
-        expected = grid.answer_range_loop(*intervals, response_matrix=matrix)
+        expected = grid2d_answer_range_loop(grid, *intervals,
+                                            response_matrix=matrix)
         assert grid.answer_range(*intervals, response_matrix=matrix) == \
             pytest.approx(expected, abs=1e-9)
         assert grid.answer_range(*intervals, response_index=index) == \
@@ -136,8 +138,8 @@ def test_grid_answer_ranges_batch_matches_scalar(rng):
     batch = grid.answer_ranges(row_lows, row_highs, col_lows, col_highs,
                                response_index=index)
     for position in range(40):
-        expected = grid.answer_range_loop(
-            (row_lows[position], row_highs[position]),
+        expected = grid2d_answer_range_loop(
+            grid, (row_lows[position], row_highs[position]),
             (col_lows[position], col_highs[position]), response_matrix=matrix)
         assert batch[position] == pytest.approx(expected, abs=1e-9)
 
@@ -177,34 +179,6 @@ def test_weighted_update_batch_matches_sequential(rng):
         sequential = weighted_update(size, constraints)
         np.testing.assert_allclose(batch[row], sequential.estimate,
                                    rtol=0.0, atol=1e-9)
-
-
-def test_estimate_lambda_queries_batched_matches_per_query(rng):
-    for dimension in (3, 4, 5):
-        queries = []
-        sub_answers = []
-        generator = WorkloadGenerator(dimension, 16,
-                                      rng=np.random.default_rng(dimension))
-        for _ in range(8):
-            query = generator.random_query(dimension, 0.5)
-            queries.append(query)
-            sub_answers.append(rng.normal(0.3, 0.2,
-                                          size=dimension * (dimension - 1) // 2))
-        lookup_tables = [
-            dict(zip((sub.attributes for sub in query.pairwise_subqueries()),
-                     answers))
-            for query, answers in zip(queries, sub_answers)]
-        expected = [estimate_lambda_query(
-            query, lambda sub, table=table: table[sub.attributes])
-            for query, table in zip(queries, lookup_tables)]
-        batched = estimate_lambda_queries_batched(queries, sub_answers)
-        np.testing.assert_allclose(batched, expected, rtol=0.0, atol=1e-9)
-
-
-def test_estimate_lambda_queries_batched_rejects_pairs():
-    query = RangeQuery.from_dict({0: (0, 3), 1: (0, 3)})
-    with pytest.raises(ValueError):
-        estimate_lambda_queries_batched([query], [np.array([0.5])])
 
 
 # ----------------------------------------------------------------------
@@ -273,20 +247,6 @@ def test_batch_workload_validates_queries(rng):
         mechanism.answer_workload([bad])
 
 
-def test_runner_query_engine_parity(rng):
-    """The runner produces identical MAEs through both engine settings."""
-    from repro.experiments import ExperimentConfig, run_experiment
-
-    base = ExperimentConfig(dataset="normal", n_users=5_000, n_attributes=3,
-                            domain_size=16, n_queries=20, query_dimension=3,
-                            methods=("Uni", "TDG", "HDG"), seed=3)
-    batch = run_experiment(base)
-    legacy = run_experiment(base.with_overrides(query_engine="legacy"))
-    for method in base.methods:
-        assert batch.mae_of(method) == pytest.approx(legacy.mae_of(method),
-                                                     abs=1e-9)
-
-
 # ----------------------------------------------------------------------
 # Staleness and RNG-order regressions (from review)
 # ----------------------------------------------------------------------
@@ -297,10 +257,9 @@ def test_hio_fresh_instances_agree_across_engines(rng):
     dataset = Dataset(rng.integers(0, 64, size=(2_000, 3)), 64)
     queries = mixed_workload(3, 64, per_dimension=4, dimensions=(2, 3))
     legacy = HIO(1.0, materialize_limit=256, seed=7).fit(dataset)
-    legacy.use_legacy_answering = True
     batch = HIO(1.0, materialize_limit=256, seed=7).fit(dataset)
     np.testing.assert_allclose(batch.answer_workload(queries),
-                               legacy.answer_workload(queries),
+                               mechanism_answer_loop(legacy, queries),
                                rtol=0.0, atol=1e-9)
 
 
@@ -310,10 +269,9 @@ def test_lhio_fresh_instances_agree_across_engines(rng):
     dataset = Dataset(rng.integers(0, 64, size=(2_000, 3)), 64)
     queries = mixed_workload(3, 64, per_dimension=4, dimensions=(1, 2, 3))
     legacy = LHIO(1.0, materialize_limit=256, seed=7).fit(dataset)
-    legacy.use_legacy_answering = True
     batch = LHIO(1.0, materialize_limit=256, seed=7).fit(dataset)
     np.testing.assert_allclose(batch.answer_workload(queries),
-                               legacy.answer_workload(queries),
+                               mechanism_answer_loop(legacy, queries),
                                rtol=0.0, atol=1e-9)
 
 
@@ -341,7 +299,8 @@ def test_hdg_response_matrix_replacement_not_stale(rng):
     mechanism.response_matrices[key] = np.full((16, 16), 1.0 / 256)
     replaced = mechanism.answer(query)
     batch = mechanism.answer_workload([query])[0]
-    expected = mechanism.grids_2d[key].answer_range_loop(
-        (1, 9), (2, 13), response_matrix=mechanism.response_matrices[key])
+    expected = grid2d_answer_range_loop(
+        mechanism.grids_2d[key], (1, 9), (2, 13),
+        response_matrix=mechanism.response_matrices[key])
     assert replaced == pytest.approx(expected, abs=1e-9)
     assert batch == pytest.approx(expected, abs=1e-9)

@@ -16,13 +16,16 @@ import pytest
 from repro import make_dataset
 from repro.datasets import Dataset
 from repro.postprocess import norm_sub
-from repro.queries import (QUERY_KINDS, DistributionResult, MarginalQuery,
-                           PointQuery, Predicate, PredicateCountQuery,
-                           Query, QueryPlanner, RangeQuery, ScalarResult,
-                           TopKQuery, TopKResult, WorkloadGenerator,
-                           answer_workload, evaluate_query, evaluate_workload,
-                           query_kind, top_k_cells)
+from repro.queries import (QUERY_KINDS, CompiledPlan, DistributionResult,
+                           MarginalQuery, PointQuery, Predicate,
+                           PredicateCountQuery, Query, QueryPlanner,
+                           RangeQuery, ScalarResult, TopKQuery, TopKResult,
+                           WorkloadGenerator, answer_workload, evaluate_query,
+                           evaluate_workload, query_kind, top_k_cells)
 from repro.serving import SNAPSHOT_MECHANISMS
+
+from oracles.answering_loops import mechanism_answer_loop
+from oracles.plan_assembly import assemble
 
 
 @pytest.fixture(scope="module")
@@ -115,7 +118,7 @@ def test_planner_lowers_marginal_in_row_major_cell_order():
     # Row-major: the last attribute varies fastest.
     cells = [(r.interval(1)[0], r.interval(3)[0]) for r in ranges]
     assert cells == [(a, b) for a in range(3) for b in range(3)]
-    results = plan.assemble(np.arange(9.0))
+    results = CompiledPlan.from_plan(plan, 3).assemble(np.arange(9.0))
     assert isinstance(results[0], DistributionResult)
     assert results[0].values.shape == (3, 3)
     assert results[0].values[2, 1] == 7.0
@@ -124,10 +127,14 @@ def test_planner_lowers_marginal_in_row_major_cell_order():
 def test_planner_count_scaling_and_population_fallbacks():
     planner = QueryPlanner(domain_size=8, n_attributes=2, population=1000)
     query = PredicateCountQuery((Predicate(0, 0, 3),))
-    [result] = planner.plan([query]).assemble(np.array([0.25]))
+    [result] = CompiledPlan.from_plan(planner.plan([query]), 8,
+                                      population=1000).assemble(
+        np.array([0.25]))
     assert result.value == 250.0 and result.population == 1000
     explicit = PredicateCountQuery((Predicate(0, 0, 3),), population=40)
-    [result] = planner.plan([explicit]).assemble(np.array([0.25]))
+    [result] = CompiledPlan.from_plan(planner.plan([explicit]), 8,
+                                      population=1000).assemble(
+        np.array([0.25]))
     assert result.value == 10.0 and result.population == 40
     bare = QueryPlanner(domain_size=8, n_attributes=2, population=None)
     with pytest.raises(ValueError, match="count query 0 has no population"):
@@ -154,9 +161,9 @@ def test_planner_capability_dispatch_rejects_unsupported_kinds():
 
 def test_plan_assemble_checks_answer_count():
     planner = QueryPlanner(domain_size=4, n_attributes=2)
-    plan = planner.plan([MarginalQuery((0,))])
+    compiled = CompiledPlan.from_plan(planner.plan([MarginalQuery((0,))]), 4)
     with pytest.raises(ValueError, match="expects 4 primitive answers"):
-        plan.assemble(np.zeros(3))
+        compiled.assemble(np.zeros(3))
 
 
 def test_top_k_cells_is_deterministic_under_ties():
@@ -265,17 +272,15 @@ def test_mixed_workload_through_answer_workload(name, fitted, ir_dataset):
 
 
 def test_legacy_engine_matches_batch_for_typed_queries(fitted):
-    """The planner's primitives respect use_legacy_answering."""
+    """Typed answers match the legacy reference loops and assembler."""
     for name in ("TDG", "HDG", "Uni", "MSW", "CALM"):
         mechanism = fitted[name]
         query = MarginalQuery((0, 1))
         batch = mechanism.answer(query).values
-        mechanism.use_legacy_answering = True
-        try:
-            legacy = mechanism.answer(query).values
-        finally:
-            mechanism.use_legacy_answering = False
-        np.testing.assert_allclose(batch, legacy, atol=1e-9)
+        plan = mechanism.query_planner().plan([query])
+        [legacy] = assemble(plan, mechanism_answer_loop(mechanism, plan.ranges),
+                            mechanism._domain_size)
+        np.testing.assert_allclose(batch, legacy.values, atol=1e-9)
 
 
 def test_answer_typed_caches_compiled_plans(ir_dataset):

@@ -465,6 +465,46 @@ def test_http_malformed_json_is_400_not_500(http_service):
         raise AssertionError("expected HTTP 400")
 
 
+@pytest.mark.parametrize("length", [b"-1", b"abc"])
+def test_http_bad_content_length_is_400_and_closes(serving_dataset, length):
+    """Regression: ``Content-Length: -1`` made the handler read to EOF,
+    so the client got no response and the worker was held until the
+    socket timeout."""
+    import socket
+    import time
+
+    service = QueryService("TDG", 1.0, seed=9, domain_size=16)
+    service.ingest(serving_dataset.values[:200])
+    service.refinalize()
+    server = build_server(service, port=0, workers=1, handler_timeout=3)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        port = server.server_address[1]
+        client = socket.create_connection(("127.0.0.1", port), timeout=10)
+        start = time.perf_counter()
+        client.sendall(b"POST /query HTTP/1.1\r\nHost: x\r\n"
+                       b"Content-Length: " + length + b"\r\n\r\n")
+        response = b""
+        while chunk := client.recv(65536):  # the server closes the socket
+            response += chunk
+        elapsed = time.perf_counter() - start
+        client.close()
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n", 1)[0].split()[1] == b"400"
+        assert b"Connection: close" in head
+        document = json.loads(body)
+        assert document["code"] == "bad-request"
+        assert "Content-Length" in document["error"]
+        # Answered at once, well inside the 3 s handler timeout.
+        assert elapsed < 1.0
+        # The only worker is free again.
+        assert _http(port, "/healthz")["status"] == "ok"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 def test_http_unknown_query_type_is_400_with_structured_body(http_service):
     """Regression: an unknown query "type" must be a structured 400."""
     _, port = http_service

@@ -1,10 +1,10 @@
 """Property tests: vectorised collection/answering paths == legacy loops.
 
 Every vectorised path introduced for the fit-throughput work keeps its
-original loop implementation as an equivalence reference; these tests
-pin the two to each other — bit-for-bit where the paths consume the
-same RNG draws, to 1e-9 where only the floating-point summation order
-differs.
+original loop implementation as an equivalence reference in
+``tests/oracles/``; these tests pin the two to each other — bit-for-bit
+where the paths consume the same RNG draws, to 1e-9 where only the
+floating-point summation order differs.
 """
 
 from __future__ import annotations
@@ -17,9 +17,13 @@ from repro.core import HDG
 from repro.core import phase2 as phase2_module
 from repro.datasets import make_dataset
 from repro.frequency_oracles import GeneralizedRandomizedResponse, SquareWave
-from repro.postprocess import (GridView, enforce_attribute_consistency,
-                               enforce_attribute_consistency_loop)
+from repro.postprocess import GridView, enforce_attribute_consistency
 from repro.queries import WorkloadGenerator
+
+from oracles.answering_loops import mechanism_answer_loop
+from oracles.collection_loops import (enforce_attribute_consistency_loop,
+                                      grr_perturb_loop, sw_perturb_loop,
+                                      sw_transition_matrix_loop)
 
 
 def mixed_workload(n_attributes, domain_size, n_queries=30, seed=11):
@@ -41,7 +45,7 @@ def mixed_workload(n_attributes, domain_size, n_queries=30, seed=11):
 def test_sw_transition_matrix_vectorized_equals_loop(epsilon, domain_size):
     oracle = SquareWave(epsilon, domain_size)
     vectorized = oracle._build_transition_matrix()
-    loop = oracle._build_transition_matrix_loop()
+    loop = sw_transition_matrix_loop(oracle)
     np.testing.assert_array_equal(vectorized, loop)
     np.testing.assert_allclose(vectorized.sum(axis=0), 1.0, atol=1e-9)
 
@@ -51,7 +55,7 @@ def test_sw_perturb_vectorized_equals_loop_bitwise():
     vectorized = SquareWave(1.0, 32, rng=np.random.default_rng(42))
     loop = SquareWave(1.0, 32, rng=np.random.default_rng(42))
     np.testing.assert_array_equal(vectorized.perturb(values),
-                                  loop.perturb_loop(values))
+                                  sw_perturb_loop(loop, values))
 
 
 # ----------------------------------------------------------------------
@@ -64,7 +68,7 @@ def test_grr_perturb_vectorized_equals_loop_bitwise():
     loop = GeneralizedRandomizedResponse(1.0, 16,
                                          rng=np.random.default_rng(9))
     np.testing.assert_array_equal(vectorized.perturb(values),
-                                  loop.perturb_loop(values))
+                                  grr_perturb_loop(loop, values))
 
 
 # ----------------------------------------------------------------------
@@ -75,10 +79,10 @@ def test_hio_vectorized_answers_equal_legacy_loop():
                            rng=np.random.default_rng(5))
     queries = mixed_workload(3, 16)
     legacy = HIO(1.0, seed=7).fit(dataset)
-    legacy.use_legacy_answering = True
     engine = HIO(1.0, seed=7).fit(dataset)
     np.testing.assert_allclose(engine.answer_workload(queries),
-                               legacy.answer_workload(queries), atol=1e-9)
+                               mechanism_answer_loop(legacy, queries),
+                               atol=1e-9)
 
 
 def test_hio_vectorized_with_lazy_levels_falls_back_consistently():
@@ -86,10 +90,10 @@ def test_hio_vectorized_with_lazy_levels_falls_back_consistently():
                            rng=np.random.default_rng(6))
     queries = mixed_workload(3, 16, n_queries=18, seed=13)
     legacy = HIO(1.0, seed=3, materialize_limit=16).fit(dataset)
-    legacy.use_legacy_answering = True
     engine = HIO(1.0, seed=3, materialize_limit=16).fit(dataset)
     np.testing.assert_allclose(engine.answer_workload(queries),
-                               legacy.answer_workload(queries), atol=1e-9)
+                               mechanism_answer_loop(legacy, queries),
+                               atol=1e-9)
 
 
 # ----------------------------------------------------------------------
@@ -101,10 +105,10 @@ def test_lhio_batched_answers_equal_legacy_loop(materialize_limit):
                            rng=np.random.default_rng(8))
     queries = mixed_workload(4, 16)
     legacy = LHIO(1.0, seed=21, materialize_limit=materialize_limit).fit(dataset)
-    legacy.use_legacy_answering = True
     engine = LHIO(1.0, seed=21, materialize_limit=materialize_limit).fit(dataset)
     np.testing.assert_allclose(engine.answer_workload(queries),
-                               legacy.answer_workload(queries), atol=1e-9)
+                               mechanism_answer_loop(legacy, queries),
+                               atol=1e-9)
 
 
 def test_lhio_four_dimensional_queries_through_batched_gathers():
@@ -113,10 +117,10 @@ def test_lhio_four_dimensional_queries_through_batched_gathers():
     generator = WorkloadGenerator(5, 16, rng=np.random.default_rng(15))
     queries = generator.random_workload(10, 4, 0.5)
     legacy = LHIO(1.0, seed=2).fit(dataset)
-    legacy.use_legacy_answering = True
     engine = LHIO(1.0, seed=2).fit(dataset)
     np.testing.assert_allclose(engine.answer_workload(queries),
-                               legacy.answer_workload(queries), atol=1e-9)
+                               mechanism_answer_loop(legacy, queries),
+                               atol=1e-9)
 
 
 # ----------------------------------------------------------------------
