@@ -1,6 +1,6 @@
 """Command-line interface for running reproduction experiments.
 
-Seven subcommands mirror how the library is typically used:
+Eight subcommands mirror how the library is typically used:
 
 ``run``
     Evaluate a set of mechanisms once on one configuration and print the
@@ -19,11 +19,6 @@ Seven subcommands mirror how the library is typically used:
     Merge serialized shard states (written by ``shard-demo --save-state``
     or :meth:`repro.pipeline.ShardAggregator.save`) into one aggregator
     and print or save the combined state.
-``ingest-demo``
-    Drive the multi-process ingest tier (:mod:`repro.ingest`) once:
-    route a synthetic dataset to N collector workers over shared-memory
-    accumulators, print per-worker back-pressure metrics, merge and
-    answer a sample query.
 ``serve``
     Run the long-lived JSON-over-HTTP query service
     (:mod:`repro.serving`): ingest privatized reports incrementally,
@@ -74,12 +69,11 @@ from .experiments.figures import table_2_granularities
 from .metrics import mean_absolute_error
 from .pipeline import (ParallelFitReport, ShardAggregator, merge_aggregators,
                        parallel_fit, shard_seed, write_state)
-from .ingest import IngestTier
-from .queries import RangeQuery, WorkloadGenerator, answer_workload
+from .queries import WorkloadGenerator, answer_workload
 from .resilience import RetryPolicy
 from .serving import (QueryService, SnapshotStore, TenantManager,
                       build_server, serve)
-from .serving.tenants import service_from_config
+from .serving.tenants import check_tenant_config, service_from_config
 from .storage import BACKENDS, StorageError, open_backend
 
 
@@ -264,62 +258,12 @@ def _command_merge(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_ingest_demo(args: argparse.Namespace) -> int:
-    """``repro ingest-demo``: drive the multi-process ingest tier once."""
-    rng = np.random.default_rng(args.seed)
-    dataset = make_dataset(args.dataset, args.n_users, args.n_attributes,
-                           args.domain_size, rng=rng)
-    rows = dataset.values
-    mode = None if args.ingest_mode == "auto" else args.ingest_mode
-    print(f"ingest-demo: {args.mechanism} eps={args.epsilon} "
-          f"d={args.n_attributes} c={args.domain_size} "
-          f"n={args.n_users} workers={args.workers}")
-    tier = IngestTier(args.mechanism, args.epsilon, n_workers=args.workers,
-                      n_attributes=args.n_attributes,
-                      domain_size=args.domain_size, seed=args.seed,
-                      ingest_mode=mode, planning_users=args.n_users,
-                      total_users=args.n_users)
-    try:
-        started = time.perf_counter()
-        for start in range(0, len(rows), args.batch_size):
-            tier.submit(rows[start:start + args.batch_size])
-        tier.flush()
-        ingest_seconds = time.perf_counter() - started
-        metrics = tier.metrics()
-        rate = len(rows) / ingest_seconds if ingest_seconds > 0 else 0.0
-        print(f"  mode={metrics['ingest_mode']}  "
-              f"ingested {metrics['reports_total']} reports in "
-              f"{ingest_seconds:.2f}s ({rate:,.0f} reports/s)")
-        for worker in metrics["workers"]:
-            print(f"  worker {worker['index']}: "
-                  f"{worker['reports_done']} reports over "
-                  f"{worker['batches_done']} batches "
-                  f"(queue depth {worker['queue_depth']}, "
-                  f"dropped {worker['dropped_rows']})")
-        estimator = tier.coordinator.merge()
-        merge = tier.metrics()["merge"]
-        print(f"  merged + finalized in {merge['last_merge_seconds']:.2f}s "
-              f"(merge lag now {merge['merge_lag_reports']} reports)")
-        half = args.domain_size // 2
-        query = RangeQuery.from_dict({0: (0, half - 1),
-                                      1: (half, args.domain_size - 1)})
-        truth = answer_workload(dataset, [query])[0]
-        estimate = estimator.answer(query)
-        print(f"  sample 2-D query: estimate={estimate:.5f} "
-              f"truth={truth:.5f} |error|={abs(estimate - truth):.5f}")
-    finally:
-        tier.close()
-    return 0
-
-
 def _build_streaming_service(args: argparse.Namespace) -> QueryService:
     service = QueryService(args.mechanism, args.epsilon, seed=args.seed,
                            refinalize_every=args.refinalize_every,
                            total_users=args.total_users,
                            domain_size=args.domain_size,
                            ingest_mode=getattr(args, "ingest_mode", "stream"),
-                           ingest_workers=getattr(args, "ingest_workers",
-                                                  None),
                            plan_cache_entries=getattr(
                                args, "plan_cache_entries", None),
                            answer_cache_entries=getattr(
@@ -343,7 +287,6 @@ def _default_tenant_config(args: argparse.Namespace) -> dict:
         "total_users": args.total_users,
         "domain_size": args.domain_size,
         "ingest_mode": getattr(args, "ingest_mode", "stream"),
-        "ingest_workers": getattr(args, "ingest_workers", None),
         "plan_cache_entries": getattr(args, "plan_cache_entries", None),
         "answer_cache_entries": getattr(args, "answer_cache_entries", None),
         "keep_last": args.keep_last,
@@ -567,6 +510,7 @@ def _command_tenants(args: argparse.Namespace) -> int:
                 config = _default_tenant_config(args)
                 if args.quota is not None:
                     config["quota"] = args.quota
+                config = check_tenant_config(config)
                 service_from_config(config)  # validate before persisting
                 record = backend.create_tenant(args.name, config)
                 print(f"created tenant {record.name!r} "
@@ -626,12 +570,6 @@ def _add_serving_mechanism_arguments(parser: argparse.ArgumentParser) -> None:
                              "re-finalizes by fitting a fresh same-seeded "
                              "instance from scratch (works for every "
                              "mechanism, deterministic for crash recovery)")
-    parser.add_argument("--ingest-workers", type=int, default=None,
-                        metavar="N",
-                        help="run ingest through N collector worker "
-                             "processes over shared-memory accumulators "
-                             "(default: in-process ingest; see "
-                             "docs/ingest.md)")
     parser.add_argument("--epsilon", type=float, default=1.0)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--plan-cache-entries", type=int, default=None,
@@ -712,31 +650,6 @@ def build_parser() -> argparse.ArgumentParser:
     merge_parser.add_argument("--finalize", action="store_true",
                               help="run Phase 2 on the merged state")
     merge_parser.set_defaults(handler=_command_merge)
-
-    ingest_parser = subparsers.add_parser(
-        "ingest-demo",
-        help="drive the multi-process shared-memory ingest tier once")
-    ingest_parser.add_argument("--mechanism", default="HDG",
-                               choices=["TDG", "HDG", "ITDG", "IHDG", "CALM",
-                                        "HIO", "LHIO", "MSW", "Uni"],
-                               help="mechanism to collect (stream mode needs "
-                                    "a shardable one; others run refit)")
-    ingest_parser.add_argument("--ingest-mode", default="auto",
-                               choices=["auto", "stream", "refit"],
-                               help="auto picks stream for shardable "
-                                    "mechanisms, refit otherwise")
-    ingest_parser.add_argument("--workers", type=int, default=4,
-                               help="collector worker processes")
-    ingest_parser.add_argument("--dataset", default="normal",
-                               help="synthetic dataset name to ingest")
-    ingest_parser.add_argument("--n-users", type=int, default=100_000)
-    ingest_parser.add_argument("--n-attributes", type=int, default=4)
-    ingest_parser.add_argument("--domain-size", type=int, default=16)
-    ingest_parser.add_argument("--epsilon", type=float, default=1.0)
-    ingest_parser.add_argument("--seed", type=int, default=0)
-    ingest_parser.add_argument("--batch-size", type=int, default=10_000,
-                               help="reports per submitted batch")
-    ingest_parser.set_defaults(handler=_command_ingest_demo)
 
     serve_parser = subparsers.add_parser(
         "serve", help="run the JSON-over-HTTP query service")

@@ -236,106 +236,6 @@ class RangeQueryMechanism(abc.ABC):
         return type(self)._partial_fit is not RangeQueryMechanism._partial_fit
 
     # ------------------------------------------------------------------
-    # Shared-memory accumulator views (distributed ingest tier)
-    # ------------------------------------------------------------------
-    def prepare_aggregation(self, n_attributes: int, domain_size: int,
-                            total_users: int | None = None
-                            ) -> "RangeQueryMechanism":
-        """Pin the aggregation layout without ingesting any data.
-
-        Fixes the schema and the guideline granularities exactly as the
-        first ``partial_fit`` batch would, so the accumulator slot layout
-        (:meth:`accumulator_slots`) is known up front.  The distributed
-        ingest tier (:mod:`repro.ingest`) calls this on a template
-        instance to size shared-memory blocks before any worker starts.
-
-        ``total_users`` feeds the granularity guideline; it is required
-        when the mechanism has no explicit granularity configured,
-        because there is no first batch to fall back on.
-        """
-        if not self.supports_sharding:
-            raise NotImplementedError(
-                f"{type(self).__name__} does not support sharded aggregation")
-        if self._fitted:
-            raise RuntimeError(
-                f"{type(self).__name__} is already finalised; create a fresh "
-                "instance to collect new shards")
-        n_attributes, domain_size = int(n_attributes), int(domain_size)
-        if self._n_attributes is None:
-            self._n_attributes = n_attributes
-            self._domain_size = domain_size
-        elif (n_attributes != self._n_attributes
-              or domain_size != self._domain_size):
-            raise ValueError(
-                f"schema (d={n_attributes}, c={domain_size}) does not match "
-                f"earlier batches (d={self._n_attributes}, "
-                f"c={self._domain_size})")
-        self._ensure_layout(total_users)
-        return self
-
-    def _ensure_layout(self, planning_users: int | None) -> None:
-        """Create grids/accumulator slots once the schema is known."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not expose an accumulator layout")
-
-    def accumulator_slots(self) -> list[tuple[str, int]]:
-        """Ordered ``(slot key, vector length)`` layout of the additive state.
-
-        Requires a prepared layout (:meth:`prepare_aggregation` or at
-        least one ingested batch).  The order is deterministic, so every
-        process sizing buffers from the same configuration agrees on it.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not expose an accumulator layout")
-
-    def _accumulator_ref(self, slot: str) -> tuple[dict, object]:
-        """``(container, key)`` locating one slot's accumulator."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not expose an accumulator layout")
-
-    def bind_accumulator_views(self, views: dict) -> None:
-        """Re-home every accumulator slot onto caller-provided buffers.
-
-        ``views`` maps each slot key from :meth:`accumulator_slots` to a
-        float64 vector of the slot's length — typically views over a
-        ``multiprocessing.shared_memory`` block, so that ``partial_fit``
-        updates become visible to a merge coordinator in another process
-        without any serialization.  Existing counts are copied into the
-        buffers first; empty slots become zero-count accumulators (adding
-        zero supports is exact, so merge results are unchanged).
-        """
-        from ..frequency_oracles import SupportAccumulator
-        for slot, length in self.accumulator_slots():
-            view = np.asarray(views[slot])
-            if view.shape != (length,) or view.dtype != np.float64:
-                raise ValueError(
-                    f"slot {slot!r} needs a float64 view of length {length}, "
-                    f"got {view.dtype} with shape {view.shape}")
-            container, key = self._accumulator_ref(slot)
-            current = container[key]
-            if current is None:
-                view[:] = 0.0
-                container[key] = SupportAccumulator(view, 0)
-            else:
-                np.copyto(view, current.supports)
-                container[key] = SupportAccumulator(view, current.n_reports)
-
-    def accumulator_counts(self) -> dict[str, int]:
-        """Per-slot report counts (the header ingest workers publish)."""
-        counts: dict[str, int] = {}
-        for slot, _ in self.accumulator_slots():
-            container, key = self._accumulator_ref(slot)
-            accumulator = container[key]
-            counts[slot] = 0 if accumulator is None else accumulator.n_reports
-        return counts
-
-    @property
-    def supports_accumulator_views(self) -> bool:
-        """Whether the shared-memory accumulator-view API is implemented."""
-        return (type(self).accumulator_slots
-                is not RangeQueryMechanism.accumulator_slots)
-
-    # ------------------------------------------------------------------
     # Fitted-state serialization (snapshots)
     # ------------------------------------------------------------------
     def save_state(self) -> dict:

@@ -134,12 +134,10 @@ class HDG(PairwiseBatchAnswering, RangeQueryMechanism):
         self._acc_2d = {}
         self._total_reports = 0
 
-    def _ensure_layout(self, planning_users: int | None) -> None:
+    def _ensure_layout(self, planning_users: int) -> None:
         if self.chosen_g1 is not None:
             return
         d, c = self._n_attributes, self._domain_size
-        if d < 2:
-            raise ValueError(f"{self.name} requires at least 2 attributes")
         pairs = list(combinations(range(d), 2))
         if self.granularities is not None:
             g1, g2 = int(self.granularities[0]), int(self.granularities[1])
@@ -148,10 +146,6 @@ class HDG(PairwiseBatchAnswering, RangeQueryMechanism):
                     f"g1 ({g1}) must be at least g2 ({g2}) so the consistency "
                     "buckets align")
         else:
-            if planning_users is None:
-                raise ValueError(
-                    "total_users is required to derive the guideline "
-                    "granularities before the first batch")
             planning = choose_granularities_hdg(
                 self.epsilon, planning_users, d, c,
                 alpha1=self.alpha1, alpha2=self.alpha2, sigma=self.sigma)
@@ -277,30 +271,6 @@ class HDG(PairwiseBatchAnswering, RangeQueryMechanism):
         self._response_indexes = {
             pair: (matrix, SummedAreaTable(matrix))
             for pair, matrix in self.response_matrices.items()}
-
-    # ------------------------------------------------------------------
-    # Shared-memory accumulator layout (see docs/ingest.md)
-    # ------------------------------------------------------------------
-    def accumulator_slots(self) -> list[tuple[str, int]]:
-        if self.chosen_g1 is None:
-            raise RuntimeError(
-                "aggregation layout not prepared; call prepare_aggregation "
-                "or ingest a batch first")
-        g1, g2 = self.chosen_g1, self.chosen_g2
-        slots = [(f"1d:{attribute}", g1)
-                 for attribute in sorted(self._acc_1d)]
-        slots.extend((f"2d:{a},{b}", g2 * g2)
-                     for (a, b) in sorted(self._acc_2d))
-        return slots
-
-    def _accumulator_ref(self, slot: str) -> tuple[dict, object]:
-        section, _, subkey = slot.partition(":")
-        if section == "1d":
-            return self._acc_1d, int(subkey)
-        if section == "2d":
-            a, _, b = subkey.partition(",")
-            return self._acc_2d, (int(a), int(b))
-        raise KeyError(slot)
 
     # ------------------------------------------------------------------
     # Shard-state serialization (see docs/architecture.md for the schema)

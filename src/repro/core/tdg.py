@@ -93,20 +93,14 @@ class TDG(PairwiseBatchAnswering, RangeQueryMechanism):
         self._accumulators = {}
         self._total_reports = 0
 
-    def _ensure_layout(self, planning_users: int | None) -> None:
+    def _ensure_layout(self, planning_users: int) -> None:
         if self.chosen_g2 is not None:
             return
         d, c = self._n_attributes, self._domain_size
-        if d < 2:
-            raise ValueError(f"{self.name} requires at least 2 attributes")
         pairs = list(combinations(range(d), 2))
         if self.granularity is not None:
             g2 = int(self.granularity)
         else:
-            if planning_users is None:
-                raise ValueError(
-                    "total_users is required to derive the guideline "
-                    "granularity before the first batch")
             g2 = choose_granularity_tdg(self.epsilon, planning_users,
                                         d, c, alpha2=self.alpha2).g2
         self.chosen_g2 = g2
@@ -169,25 +163,6 @@ class TDG(PairwiseBatchAnswering, RangeQueryMechanism):
         # as the thousandth.
         for grid in self.grids.values():
             grid.build_index()
-
-    # ------------------------------------------------------------------
-    # Shared-memory accumulator layout (see docs/ingest.md)
-    # ------------------------------------------------------------------
-    def accumulator_slots(self) -> list[tuple[str, int]]:
-        if self.chosen_g2 is None:
-            raise RuntimeError(
-                "aggregation layout not prepared; call prepare_aggregation "
-                "or ingest a batch first")
-        g2 = self.chosen_g2
-        return [(f"2d:{a},{b}", g2 * g2)
-                for (a, b) in sorted(self._accumulators)]
-
-    def _accumulator_ref(self, slot: str) -> tuple[dict, object]:
-        section, _, subkey = slot.partition(":")
-        if section != "2d":
-            raise KeyError(slot)
-        a, _, b = subkey.partition(",")
-        return self._accumulators, (int(a), int(b))
 
     # ------------------------------------------------------------------
     # Shard-state serialization (see docs/architecture.md for the schema)

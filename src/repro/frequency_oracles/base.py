@@ -63,10 +63,8 @@ class SupportAccumulator:
         """Add another batch's counts into this accumulator (in place).
 
         The addition writes into the existing ``supports`` buffer rather
-        than rebinding it, so an accumulator whose buffer is a view over
-        external storage (the distributed ingest tier binds slots to
-        ``multiprocessing.shared_memory`` blocks) keeps publishing through
-        that view across merges.
+        than rebinding it, so every reference to that array (a view a
+        caller holds included) sees the merged counts.
         """
         if other.supports.shape != self.supports.shape:
             raise ValueError(

@@ -40,7 +40,9 @@ storage backend instead of a bare directory store.
 
 Errors return a structured body ``{"error": msg, "code": code}``:
 400 ``bad-request`` for malformed payloads (including bodies that are
-not valid JSON and unknown query ``"type"`` values), 404 ``not-found``
+not valid JSON and unknown query ``"type"`` values), 413
+``payload-too-large`` (with ``Connection: close``, body unread) for a
+``Content-Length`` above :data:`MAX_BODY_BYTES`, 404 ``not-found``
 for unknown paths, 404 ``unknown-tenant`` for routes naming a tenant
 that does not exist, 409 ``conflict`` for operations the service cannot
 perform in its current state (not ready, static mode, no snapshot
@@ -76,8 +78,8 @@ from .service import QueryService, ServiceError
 from .snapshot import SnapshotStore
 from .tenants import QuotaExceededError, TenantManager
 
-__all__ = ["ServingHTTPServer", "ServingRequestHandler", "build_server",
-           "serve"]
+__all__ = ["MAX_BODY_BYTES", "ServingHTTPServer", "ServingRequestHandler",
+           "build_server", "serve"]
 
 logger = logging.getLogger("repro.serving")
 
@@ -87,6 +89,13 @@ DEFAULT_WORKERS = 8
 #: Default admission queue: connections accepted beyond the worker
 #: count that wait for a free worker instead of being shed.
 DEFAULT_QUEUE_DEPTH = 16
+
+#: Largest request body the server reads, in bytes.  A longer
+#: ``Content-Length`` is answered 413 before any of the body is read, so
+#: a client cannot make a worker allocate an arbitrary buffer.  The
+#: largest body the in-repo clients send (a 10k-report ingest batch) is
+#: about 0.2 MB.
+MAX_BODY_BYTES = 64 * 1024 * 1024
 
 #: Pre-rendered load-shedding response, written on the listener thread
 #: (no worker, no handler) so an overloaded server still answers fast.
@@ -100,6 +109,10 @@ _SHED_RESPONSE = (b"HTTP/1.1 503 Service Unavailable\r\n"
                   b"Connection: close\r\n"
                   b"Content-Length: " + str(len(_SHED_BODY)).encode()
                   + b"\r\n\r\n" + _SHED_BODY)
+
+
+class _BodyTooLarge(Exception):
+    """A request whose ``Content-Length`` exceeds :data:`MAX_BODY_BYTES`."""
 
 
 class ServingHTTPServer(HTTPServer):
@@ -273,6 +286,8 @@ class ServingRequestHandler(BaseHTTPRequestHandler):
         A length that is not a non-negative integer leaves the body's
         end unknown: it is rejected without reading (``rfile.read(-1)``
         would block until the peer closes) and the connection closes.
+        So does a length above :data:`MAX_BODY_BYTES`
+        (:class:`_BodyTooLarge`), which is refused unread.
         """
         header = self.headers.get("Content-Length") or "0"
         if not (header.isascii() and header.isdigit()):
@@ -280,6 +295,10 @@ class ServingRequestHandler(BaseHTTPRequestHandler):
             raise ValueError(f"Content-Length must be a non-negative "
                              f"integer, got {header!r}")
         length = int(header)
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            raise _BodyTooLarge(f"request body of {length} bytes exceeds "
+                                f"the {MAX_BODY_BYTES}-byte limit")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
@@ -423,6 +442,11 @@ class ServingRequestHandler(BaseHTTPRequestHandler):
         # connection with a traceback.
         try:
             payload = self._read_json()
+        except _BodyTooLarge as error:
+            self._send_json(413, {"error": str(error),
+                                  "code": "payload-too-large"},
+                            headers={"Connection": "close"})
+            return
         except ValueError as error:
             self._send_json(400, {"error": f"bad request: {error}",
                                   "code": "bad-request"},

@@ -24,15 +24,6 @@ the shard ``partial_fit`` path.  It runs in one of two modes:
   the nine, shardable or not).  Queries and snapshots work; ``ingest``
   raises :class:`ServiceError`.
 
-Either streaming mode can additionally run **distributed**
-(``ingest_workers=N``): ingest is routed through a multi-process
-:class:`~repro.ingest.IngestTier` whose collector workers
-``partial_fit`` into shared-memory accumulators (stream) or append to
-shared row logs (refit), and re-finalize folds the worker state
-through the same ``merge``/``finalize`` (or refit) path.  Results are
-bitwise identical to the equivalent single-process shard plan; see
-``docs/ingest.md`` and ``tests/test_distributed_ingest.py``.
-
 The whole service serializes to one JSON document
 (:meth:`QueryService.state_dict`): the estimator's fitted state via
 ``save_state`` plus the collector's pending accumulators via
@@ -65,7 +56,6 @@ import numpy as np
 from ..core import RangeQueryMechanism
 from ..core.base import check_state_document
 from ..datasets import Dataset
-from ..ingest import IngestTier
 from ..pipeline.aggregator import SHARDABLE_MECHANISMS
 from ..queries import (MarginalQuery, PointQuery, Predicate,
                        PredicateCountQuery, Query, QueryResult, RangeQuery,
@@ -78,6 +68,10 @@ from .snapshot import (SNAPSHOT_MECHANISMS, SnapshotInfo, SnapshotStore,
 #: Format tag written into serialized service states.
 SERVICE_SNAPSHOT_FORMAT = "repro.service-snapshot"
 SERVICE_SNAPSHOT_VERSION = 1
+
+#: The option of the removed multi-process ingest tier.  Configs and
+#: snapshots that still set it are refused, never silently ignored.
+RETIRED_INGEST_OPTION = "ingest_workers"
 
 
 class ServiceError(RuntimeError):
@@ -254,11 +248,6 @@ class QueryService:
         fitting a fresh same-seeded instance from scratch, which works
         for every snapshotable mechanism.  Ignored when a fitted
         instance is passed (static serving).
-    ingest_workers:
-        When set (>= 1), ingest runs through a multi-process
-        :class:`~repro.ingest.IngestTier` with this many collector
-        workers instead of an in-process collector.  Requires
-        name-based construction; works with both ingest modes.
     plan_cache_entries:
         Capacity of the estimator's compiled-plan LRU (``None`` keeps
         the mechanism default); applied to every published estimator.
@@ -279,7 +268,6 @@ class QueryService:
                  total_users: int | None = None,
                  domain_size: int | None = None,
                  ingest_mode: str = "stream",
-                 ingest_workers: int | None = None,
                  plan_cache_entries: int | None = None,
                  answer_cache_entries: int | None = None,
                  **mechanism_kwargs):
@@ -288,8 +276,6 @@ class QueryService:
         if ingest_mode not in self.INGEST_MODES:
             raise ValueError(f"unknown ingest_mode {ingest_mode!r}; "
                              f"known: {list(self.INGEST_MODES)}")
-        if ingest_workers is not None and ingest_workers < 1:
-            raise ValueError("ingest_workers must be >= 1 when set")
         if plan_cache_entries is not None and plan_cache_entries < 1:
             raise ValueError("plan_cache_entries must be >= 1 when set")
         if answer_cache_entries is not None and answer_cache_entries < 0:
@@ -314,11 +300,6 @@ class QueryService:
         self._collector: RangeQueryMechanism | None = None
         #: Refit-mode state: buffered raw batches + rebuild recipe.
         self._refit: dict | None = None
-        #: Distributed-mode recipe (ingest_workers set); the tier itself
-        #: is built lazily on the first batch (schema pins its layout).
-        self._distributed: dict | None = None
-        self._tier: IngestTier | None = None
-        self._closed = False
         self._pending_rows: list[np.ndarray] = []
         self._pending_schema: tuple[int, int] | None = None
         self.refinalize_every = refinalize_every
@@ -328,31 +309,7 @@ class QueryService:
         self.reports_since_finalize = 0
         self.finalize_count = 0
 
-        if ingest_workers is not None:
-            if isinstance(mechanism, RangeQueryMechanism):
-                raise ValueError(
-                    "ingest_workers requires name-based construction "
-                    "(worker processes rebuild the mechanism from its "
-                    "name and config)")
-            if mechanism not in SNAPSHOT_MECHANISMS:
-                raise ValueError(
-                    f"unknown mechanism {mechanism!r}; "
-                    f"known: {sorted(SNAPSHOT_MECHANISMS)}")
-            if ingest_mode == "stream":
-                probe = SNAPSHOT_MECHANISMS[mechanism](
-                    float(epsilon), **mechanism_kwargs)
-                if not probe.supports_sharding:
-                    raise ValueError(
-                        f"{mechanism} does not support sharded "
-                        "aggregation; use ingest_mode='refit'")
-            self._distributed = {
-                "name": mechanism, "epsilon": float(epsilon),
-                "seed": seed, "kwargs": dict(mechanism_kwargs),
-                "ingest_mode": ingest_mode,
-                "workers": int(ingest_workers),
-                "planning_users": None,
-            }
-        elif isinstance(mechanism, RangeQueryMechanism):
+        if isinstance(mechanism, RangeQueryMechanism):
             if mechanism.is_fitted:
                 self._publish(mechanism)
             else:
@@ -390,8 +347,6 @@ class QueryService:
     @property
     def mechanism_name(self) -> str:
         """Paper name of the served mechanism (e.g. ``"HDG"``)."""
-        if self._distributed is not None:
-            return self._distributed["name"]
         if self._refit is not None:
             return self._refit["name"]
         return (self._collector or self._estimator).name
@@ -399,8 +354,6 @@ class QueryService:
     @property
     def epsilon(self) -> float:
         """Per-user privacy budget of the served mechanism."""
-        if self._distributed is not None:
-            return self._distributed["epsilon"]
         if self._refit is not None:
             return self._refit["epsilon"]
         return (self._collector or self._estimator).epsilon
@@ -408,24 +361,14 @@ class QueryService:
     @property
     def ingest_mode(self) -> str | None:
         """``"stream"``, ``"refit"``, or None for static services."""
-        if self._distributed is not None:
-            return self._distributed["ingest_mode"]
         if self._refit is not None:
             return "refit"
         return "stream" if self._collector is not None else None
 
     @property
-    def ingest_workers(self) -> int | None:
-        """Collector worker count, or None for in-process ingest."""
-        if self._distributed is not None:
-            return self._distributed["workers"]
-        return None
-
-    @property
     def is_streaming(self) -> bool:
         """Whether the service accepts ``ingest``."""
-        return (self._collector is not None or self._refit is not None
-                or self._distributed is not None)
+        return self._collector is not None or self._refit is not None
 
     @property
     def is_ready(self) -> bool:
@@ -485,10 +428,7 @@ class QueryService:
         """Service health document (what ``GET /healthz`` returns)."""
         with self._lock:
             reference = self._collector or self._estimator
-            if self._tier is not None:
-                n_attributes = self._tier.n_attributes
-                domain_size = self._tier.domain_size
-            elif reference is not None:
+            if reference is not None:
                 n_attributes = reference._n_attributes
                 domain_size = reference._domain_size
             elif self._pending_schema is not None:
@@ -507,9 +447,6 @@ class QueryService:
                 "refinalize_every": self.refinalize_every,
                 "n_attributes": n_attributes,
                 "domain_size": domain_size,
-                "ingest_workers": self.ingest_workers,
-                "ingest_tier": (self._tier.metrics()
-                                if self._tier is not None else None),
                 "epoch": self.epoch_id,
                 "plan_cache": (self._estimator.plan_cache_stats()
                                if self._estimator is not None else None),
@@ -534,26 +471,7 @@ class QueryService:
                     "service is static (built from a fitted mechanism); "
                     "ingest needs streaming mode")
             batch = self._as_dataset(rows, domain_size)
-            if self._distributed is not None:
-                if self._closed:
-                    raise ServiceError(
-                        "service is closed: its ingest tier was shut down")
-                if self._tier is None:
-                    if self._distributed["ingest_mode"] == "stream":
-                        planning = self.total_users or batch.n_users
-                    else:
-                        planning = None
-                    self._build_tier(batch.n_attributes, batch.domain_size,
-                                     planning_users=planning)
-                elif (batch.n_attributes != self._tier.n_attributes
-                        or batch.domain_size != self._tier.domain_size):
-                    raise ServiceError(
-                        f"batch shape (d={batch.n_attributes}, "
-                        f"c={batch.domain_size}) does not match the ingest "
-                        f"tier's schema (d={self._tier.n_attributes}, "
-                        f"c={self._tier.domain_size})")
-                self._tier.submit(batch.values)
-            elif self._refit is not None:
+            if self._refit is not None:
                 schema = (batch.n_attributes, batch.domain_size)
                 if self._pending_schema is None:
                     self._pending_schema = schema
@@ -589,9 +507,7 @@ class QueryService:
             return rows
         domain_size = domain_size or self.domain_size
         if domain_size is None:
-            if self._tier is not None:
-                domain_size = self._tier.domain_size
-            elif self._collector is not None:
+            if self._collector is not None:
                 domain_size = self._collector._domain_size
             elif self._pending_schema is not None:
                 domain_size = self._pending_schema[1]
@@ -627,20 +543,6 @@ class QueryService:
         land in capture order.
         """
         with self._refinalize_lock:
-            if self._distributed is not None:
-                with self._lock:
-                    tier = self._tier
-                    self.reports_since_finalize = 0
-                if tier is None:
-                    raise ServiceError("no reports ingested yet")
-                # flush + fold + Phase 2 run outside the state lock, so
-                # queries keep answering from the previous epoch.
-                clone = tier.coordinator.merge()
-                with self._lock:
-                    self._publish(clone)
-                    self.finalize_count += 1
-                tier.coordinator.record_publication(self.epoch_id)
-                return
             if self._refit is not None:
                 self._refinalize_refit()
                 return
@@ -677,23 +579,6 @@ class QueryService:
         with self._lock:
             self._publish(clone)
             self.finalize_count += 1
-
-    def _build_tier(self, n_attributes: int, domain_size: int, *,
-                    planning_users: int | None = None,
-                    worker_states: list | None = None,
-                    key_base: int = 0) -> None:
-        """Start the distributed ingest tier for a now-known schema."""
-        recipe = self._distributed
-        self._tier = IngestTier(
-            recipe["name"], recipe["epsilon"],
-            n_workers=recipe["workers"],
-            n_attributes=int(n_attributes), domain_size=int(domain_size),
-            seed=recipe["seed"], ingest_mode=recipe["ingest_mode"],
-            planning_users=planning_users, total_users=self.total_users,
-            mechanism_kwargs=recipe["kwargs"],
-            worker_states=worker_states, key_base=int(key_base))
-        # Remembered so snapshots rebuild workers with the same layout.
-        recipe["planning_users"] = planning_users
 
     # ------------------------------------------------------------------
     # Queries
@@ -793,37 +678,7 @@ class QueryService:
                                        if self._pending_schema is not None
                                        else None),
                 }
-            if self._distributed is not None:
-                document["distributed"] = self._distributed_state()
             return document
-
-    def _distributed_state(self) -> dict:
-        """The snapshot block for a distributed service (lock held).
-
-        Stream tiers capture every worker's shard + RNG state so the
-        rebuilt workers resume the exact per-worker streams; refit
-        tiers store the reassembled rows, which the restore re-submits
-        from key 0 (identical consistent-hash placement).  ``key_base``
-        makes post-restore WAL replay route new reports exactly as the
-        uninterrupted run would have.
-        """
-        recipe = self._distributed
-        block = {
-            "ingest_workers": recipe["workers"],
-            "seed": recipe["seed"],
-            "kwargs": recipe["kwargs"],
-            "planning_users": recipe["planning_users"],
-        }
-        if self._tier is not None:
-            block["schema"] = [self._tier.n_attributes,
-                               self._tier.domain_size]
-            block["key_base"] = self._tier.next_key
-            if recipe["ingest_mode"] == "stream":
-                block["worker_states"] = self._tier.capture_worker_states()
-            else:
-                rows, _ = self._tier.assembled_rows()
-                block["pending_rows"] = rows.tolist()
-        return block
 
     @classmethod
     def from_state_dict(cls, state: dict,
@@ -831,6 +686,11 @@ class QueryService:
         """Rebuild a service from :meth:`state_dict` output."""
         check_state_document(state, SERVICE_SNAPSHOT_FORMAT,
                              SERVICE_SNAPSHOT_VERSION)
+        if state.get("distributed") is not None:
+            raise ValueError(
+                f"snapshot was written with the retired option "
+                f"{RETIRED_INGEST_OPTION!r} (the multi-process ingest "
+                "tier); it cannot be restored")
         estimator = (restore_mechanism(state["estimator"])
                      if state.get("estimator") is not None else None)
         # Absent in pre-epoch snapshots (both then fall back to their
@@ -839,35 +699,7 @@ class QueryService:
             "plan_cache_entries": state.get("plan_cache_entries"),
             "answer_cache_entries": state.get("answer_cache_entries"),
         }
-        if state.get("distributed") is not None:
-            distributed = state["distributed"]
-            service = cls(state["mechanism"], float(state["epsilon"]),
-                          seed=distributed.get("seed"),
-                          ingest_mode=state["ingest_mode"],
-                          ingest_workers=int(distributed["ingest_workers"]),
-                          refinalize_every=state.get("refinalize_every"),
-                          total_users=state.get("total_users"),
-                          domain_size=state.get("domain_size"),
-                          **cache_config,
-                          **dict(distributed.get("kwargs") or {}))
-            schema = distributed.get("schema")
-            if schema is not None:
-                if state["ingest_mode"] == "stream":
-                    service._build_tier(
-                        int(schema[0]), int(schema[1]),
-                        planning_users=distributed.get("planning_users"),
-                        worker_states=distributed.get("worker_states"),
-                        key_base=int(distributed.get("key_base", 0)))
-                else:
-                    service._build_tier(int(schema[0]), int(schema[1]))
-                    rows = np.asarray(distributed.get("pending_rows") or [],
-                                      dtype=np.int64)
-                    if rows.size:
-                        # Re-submitting from key 0 reproduces the exact
-                        # original worker placement (keys are submission
-                        # indices), without touching ingest counters.
-                        service._tier.submit(rows.reshape(-1, int(schema[0])))
-        elif state.get("refit") is not None:
+        if state.get("refit") is not None:
             refit = state["refit"]
             service = cls(state["mechanism"], float(state["epsilon"]),
                           seed=refit.get("seed"), ingest_mode="refit",
@@ -935,17 +767,13 @@ class QueryService:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the distributed ingest tier (workers + shared memory).
+        """Release the service's resources: a no-op.
 
-        No-op for in-process services; the estimator keeps answering
-        queries either way, but a closed distributed service no longer
-        accepts ingest.
+        The service holds no processes, files or sockets, so there is
+        nothing to release; it keeps answering and ingesting after a
+        call.  The method stays so callers may treat every service as
+        closable.
         """
-        with self._lock:
-            tier, self._tier = self._tier, None
-            self._closed = True
-        if tier is not None:
-            tier.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         mode = "streaming" if self.is_streaming else "static"

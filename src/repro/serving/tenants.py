@@ -55,6 +55,8 @@ pinning all of this on both backends.
 from __future__ import annotations
 
 import logging
+import math
+import numbers
 import threading
 import time
 from dataclasses import dataclass, field
@@ -64,15 +66,26 @@ from ..resilience import (CircuitBreaker, Deadline, DegradedServiceError,
 from ..storage.base import (DEFAULT_TENANT, StorageBackend,
                             TenantExistsError, TenantRecord,
                             UnknownTenantError)
-from .service import QueryService, ServiceError, integer_rows, wire_int
+from .service import (RETIRED_INGEST_OPTION, QueryService, ServiceError,
+                      integer_rows, wire_int)
 
 logger = logging.getLogger("repro.serving")
 
 #: Tenant-config keys forwarded to the QueryService constructor.
 _SERVICE_CONFIG_KEYS = ("mechanism", "epsilon", "seed", "refinalize_every",
                         "total_users", "domain_size", "ingest_mode",
-                        "ingest_workers", "plan_cache_entries",
-                        "answer_cache_entries")
+                        "plan_cache_entries", "answer_cache_entries")
+
+#: The other tenant-config keys: the manager's own settings and extra
+#: mechanism keyword arguments.
+_MANAGER_CONFIG_KEYS = ("quota", "keep_last", "mechanism_kwargs")
+
+#: Integer-valued tenant-config keys, each with its least legal value
+#: (``None``: no bound is checked here).
+_INTEGER_CONFIG_KEYS = {"quota": 0, "keep_last": 1, "seed": None,
+                        "refinalize_every": None, "total_users": None,
+                        "domain_size": None, "plan_cache_entries": None,
+                        "answer_cache_entries": None}
 
 
 class QuotaExceededError(ServiceError):
@@ -98,8 +111,54 @@ class _TenantRuntime:
         return self.breaker.state != "closed"
 
 
+def check_tenant_config(config: dict) -> dict:
+    """A new tenant's config, validated; integral values become ints.
+
+    Raises ``ValueError`` (a 400 on the HTTP wire) for unknown keys,
+    non-integral integer fields, a negative ``quota``, a ``keep_last``
+    below 1 and an ``epsilon`` that is not a finite positive number.
+    ``None`` leaves a field unset.  The retired ``ingest_workers`` key
+    passes here only so that the ``null`` earlier clients sent still
+    works; :func:`service_from_config` refuses any other value.  Stored
+    configs are not re-checked on recovery, so tenants created before a
+    rule existed still load.
+    """
+    known = (*_SERVICE_CONFIG_KEYS, *_MANAGER_CONFIG_KEYS,
+             RETIRED_INGEST_OPTION)
+    unknown = sorted(set(config) - set(known))
+    if unknown:
+        raise ValueError(f"unknown tenant config keys {unknown}; "
+                         f"known: {sorted(known)}")
+    checked = dict(config)
+    for key, least in _INTEGER_CONFIG_KEYS.items():
+        if checked.get(key) is None:
+            continue
+        try:
+            value = wire_int(checked[key])
+        except ValueError:
+            raise ValueError(f"tenant config {key!r} must be an integer, "
+                             f"got {checked[key]!r}") from None
+        if least is not None and value < least:
+            raise ValueError(f"tenant config {key!r} must be >= {least}, "
+                             f"got {value}")
+        checked[key] = value
+    epsilon = checked.get("epsilon")
+    if epsilon is not None and (
+            isinstance(epsilon, bool)
+            or not isinstance(epsilon, numbers.Real)
+            or not math.isfinite(epsilon) or epsilon <= 0):
+        raise ValueError(f"tenant config 'epsilon' must be a finite "
+                         f"positive number, got {epsilon!r}")
+    return checked
+
+
 def service_from_config(config: dict) -> QueryService:
     """Build the tenant's :class:`QueryService` from its stored config."""
+    if config.get(RETIRED_INGEST_OPTION) is not None:
+        raise ValueError(
+            f"tenant config sets the retired option "
+            f"{RETIRED_INGEST_OPTION!r} (the multi-process ingest tier); "
+            "recreate the tenant without it")
     kwargs = {key: config[key] for key in _SERVICE_CONFIG_KEYS
               if config.get(key) is not None}
     kwargs.setdefault("mechanism", "HDG")
@@ -270,12 +329,13 @@ class TenantManager:
     def create_tenant(self, name: str, config: dict) -> TenantRecord:
         """Validate, persist and start a new tenant.
 
-        The service is constructed *before* the record is persisted so
-        a bad config (unknown mechanism, bad epsilon) never leaves a
-        half-created tenant in the backend.
+        The config is checked (:func:`check_tenant_config`) and the
+        service constructed *before* the record is persisted, so a bad
+        config (unknown key, fractional quota, unknown mechanism, bad
+        epsilon) never leaves a half-created tenant in the backend.
         """
-        config = dict(config)
-        service = service_from_config(config)  # validates the config
+        config = check_tenant_config(config)
+        service = service_from_config(config)
         with self._registry_lock:
             if name in self._runtimes or name in self._quarantined:
                 raise TenantExistsError(f"tenant {name!r} already exists")
@@ -291,16 +351,13 @@ class TenantManager:
         Deleting a *quarantined* tenant is allowed — it is the
         operator's way out when recovery cannot be repaired.
         """
-        runtime = None
         with self._registry_lock:
             if name in self._quarantined:
                 del self._quarantined[name]
             elif name in self._runtimes:
-                runtime = self._runtimes.pop(name)
+                del self._runtimes[name]
             else:
                 raise UnknownTenantError(f"unknown tenant {name!r}")
-        if runtime is not None:
-            runtime.service.close()
         self.backend.delete_tenant(name)
 
     def quarantined_tenants(self) -> dict[str, dict]:
@@ -493,21 +550,6 @@ class TenantManager:
             "degraded_tenants": degraded,
             "quarantined_tenants": quarantined,
         }
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Release every tenant's service (distributed ingest tiers).
-
-        Tenants with in-process ingest are unaffected; the manager
-        itself stays usable for queries, but closed tenants reject
-        further ingest until the process restarts and recovers them.
-        """
-        with self._registry_lock:
-            runtimes = list(self._runtimes.values())
-        for runtime in runtimes:
-            runtime.service.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"TenantManager({self.backend.name}: "

@@ -17,20 +17,12 @@ come from the refitted clone's RNG stream, identical in both runs).
 One test also kills a real ``repro serve`` process with SIGKILL
 between the WAL append and the finalize, then recovers from the
 SQLite file it left behind.
-
-The ``chaos``-marked tests extend the scenario to the distributed
-ingest tier: SIGKILL one *collector worker* mid-ingest.  The tier
-fails the in-flight batch fast (so the manager discards its
-already-durable WAL entry — the log never holds a batch the tier only
-partially absorbed), and a restarted process recovers from snapshot +
-WAL replay bitwise on both storage backends.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import signal
 import subprocess
 import sys
 import time
@@ -147,70 +139,6 @@ def test_crash_before_any_snapshot_recovers_from_log_alone(mechanism,
     recovered = TenantManager(backend)
     recovered.refinalize("default")
     assert _answers(recovered.service("default")) == expected
-    backend.close()
-
-
-@pytest.mark.chaos
-@pytest.mark.parametrize("kind", sorted(BACKENDS))
-def test_sigkill_collector_worker_recovers_bitwise(kind, tmp_path):
-    """Kill one ingest-tier worker process mid-stream; the failed
-    batch's WAL entry is discarded and a restart replays the surviving
-    log tail bitwise."""
-    from repro.ingest import IngestWorkerError
-
-    config = {**CASES["TDG"], "ingest_workers": 2}
-
-    # Reference: an uninterrupted distributed run over the batches
-    # that will survive the crash (batch 2's ingest fails and its WAL
-    # entry is discarded, so it is part of neither history).
-    reference_backend = _open(kind, tmp_path, "ref")
-    reference = TenantManager(reference_backend, default_config=config)
-    reference.ingest("default", _rows(0))
-    reference.save_snapshot("default")
-    reference.ingest("default", _rows(1))
-    reference.refinalize("default")
-    expected = _answers(reference.service("default"))
-    reference.close()
-    reference_backend.close()
-
-    backend = _open(kind, tmp_path, "crash")
-    crashed = TenantManager(backend, default_config=config)
-    crashed.ingest("default", _rows(0))
-    crashed.save_snapshot("default")
-    crashed.ingest("default", _rows(1))
-
-    # SIGKILL one collector worker: no cleanup, no atexit — the shared
-    # memory block survives (the parent owns it) but the worker's
-    # inbox will never drain again.
-    victim = crashed.service("default")._tier.worker_pids()[0]
-    os.kill(victim, signal.SIGKILL)
-    deadline = time.monotonic() + 30
-    while time.monotonic() < deadline:
-        alive = crashed.service("default").status()["ingest_tier"]
-        if not all(worker["alive"] for worker in alive["workers"]):
-            break
-        time.sleep(0.05)
-
-    # The next ingest fails fast instead of hanging; the manager
-    # discards the batch's already-durable WAL entry, so recovery will
-    # not replay a batch the tier never absorbed.
-    with pytest.raises(IngestWorkerError):
-        crashed.ingest("default", _rows(2))
-    assert backend.ingest_log_depth("default") == 1  # batch 1 only
-    del crashed  # the process is gone; only the backend's files remain
-    backend.close()
-
-    # Restart: snapshot restore rebuilds a fresh 2-worker tier (same
-    # worker states + key base), WAL replay re-routes batch 1
-    # identically, answers match the uninterrupted run bitwise.
-    backend = _open(kind, tmp_path, "crash")
-    recovered = TenantManager(backend)
-    assert not recovered.quarantined_tenants()
-    service = recovered.service("default")
-    assert service.reports_ingested == 100
-    recovered.refinalize("default")
-    assert _answers(service) == expected
-    recovered.close()
     backend.close()
 
 

@@ -87,6 +87,44 @@ def test_manager_rejects_duplicate_and_bad_configs(backend):
     assert not backend.has_tenant("bad")
 
 
+def test_recovery_quarantines_retired_ingest_workers_config(backend):
+    """A stored config that still sets the removed tier's option is
+    refused at recovery, never silently served in-process."""
+    backend.create_tenant("old", _tdg_config(ingest_workers=2))
+    manager = TenantManager(backend)
+    quarantined = manager.quarantined_tenants()
+    assert list(quarantined) == ["old"]
+    assert "ingest_workers" in quarantined["old"]["error"]
+    with pytest.raises(ValueError, match="ingest_workers"):
+        manager.create_tenant("new", _tdg_config(ingest_workers=2))
+    assert not backend.has_tenant("new")
+
+
+def test_recovery_keeps_null_ingest_workers_config(backend):
+    """Default tenants stored by earlier versions carry
+    ``"ingest_workers": null``; they keep recovering."""
+    backend.create_tenant("default", _tdg_config(ingest_workers=None))
+    backend.append_ingest("default", _rows(0), None)
+    manager = TenantManager(backend)
+    assert not manager.quarantined_tenants()
+    assert manager.service("default").reports_ingested == len(_rows(0))
+
+
+def test_recovery_quarantines_snapshot_with_distributed_block(backend):
+    """A snapshot written by the removed tier cannot be restored."""
+    manager = TenantManager(backend, default_config=_tdg_config())
+    manager.ingest("default", _rows(0))
+    manager.refinalize("default")
+    document = manager.service("default").state_dict()
+    document["distributed"] = {"ingest_workers": 2, "seed": 11,
+                               "kwargs": {}, "planning_users": None}
+    backend.save_snapshot("default", document, wal_seq=1)
+    recovered = TenantManager(backend)
+    quarantined = recovered.quarantined_tenants()
+    assert list(quarantined) == ["default"]
+    assert "ingest_workers" in quarantined["default"]["error"]
+
+
 def test_manager_ingest_appends_wal_before_apply(backend):
     manager = TenantManager(backend)
     manager.create_tenant("a", _tdg_config())
@@ -284,6 +322,38 @@ def test_http_tenants_round_trip(mt_server):
     assert _http(port, "/tenants/acme", method="DELETE") == {
         "deleted": "acme"}
     assert _http_error(port, "/tenants/acme")[0] == 404
+
+
+@pytest.mark.parametrize("bad", [
+    {"ingest_workrs": 2}, {"quota": 1.5}, {"quota": "abc"}, {"quota": -1},
+    {"epsilon": True}, {"epsilon": "1.0"}, {"epsilon": 0.0},
+    {"refinalize_every": 2.5}, {"keep_last": "x"}, {"keep_last": -1},
+    {"keep_last": 0}, {"seed": 1.5}, {"total_users": "10"},
+    {"domain_size": 8.5}, {"plan_cache_entries": 2.5},
+    {"answer_cache_entries": "4"},
+], ids=lambda bad: "-".join(f"{k}={v!r}" for k, v in bad.items()))
+def test_http_bad_tenant_config_is_400_before_persisting(mt_server, bad):
+    """Regression: ``POST /tenants`` answered 201 for unknown keys and
+    coercible values (a ``keep_last`` of ``"x"`` later made ``/snapshot``
+    commit its write and then answer 400)."""
+    manager, port = mt_server
+    status, body = _http_error(port, "/tenants", {
+        "name": "acme", "config": _tdg_config(**bad)})
+    assert status == 400 and body["code"] == "bad-request"
+    assert not manager.backend.has_tenant("acme")
+    assert not manager.has_tenant("acme")
+
+
+def test_http_tenant_config_integral_floats_and_nulls_accepted(mt_server):
+    """Integral floats are stored as integers; ``null`` leaves a field
+    unset."""
+    _, port = mt_server
+    created = _http(port, "/tenants", {"name": "acme", "config": _tdg_config(
+        quota=100.0, keep_last=2.0, refinalize_every=None)})
+    assert created["config"]["quota"] == 100
+    assert type(created["config"]["quota"]) is int
+    assert created["config"]["keep_last"] == 2
+    assert created["config"]["refinalize_every"] is None
 
 
 def test_http_duplicate_tenant_conflicts(mt_server):

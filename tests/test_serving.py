@@ -27,6 +27,7 @@ from repro.datasets import Dataset
 from repro.serving import (SNAPSHOT_MECHANISMS, QueryService, ServiceError,
                            SnapshotStore, build_server, queries_from_wire,
                            query_from_wire, query_to_wire, restore_mechanism)
+from repro.serving.http import MAX_BODY_BYTES
 
 
 @pytest.fixture(scope="module")
@@ -465,11 +466,10 @@ def test_http_malformed_json_is_400_not_500(http_service):
         raise AssertionError("expected HTTP 400")
 
 
-@pytest.mark.parametrize("length", [b"-1", b"abc"])
-def test_http_bad_content_length_is_400_and_closes(serving_dataset, length):
-    """Regression: ``Content-Length: -1`` made the handler read to EOF,
-    so the client got no response and the worker was held until the
-    socket timeout."""
+def _post_raw_length(serving_dataset, length: bytes):
+    """POST ``/query`` with this ``Content-Length`` and no body to a
+    one-worker server; returns (status, head, document, seconds) and
+    checks that the worker is free again afterwards."""
     import socket
     import time
 
@@ -490,19 +490,45 @@ def test_http_bad_content_length_is_400_and_closes(serving_dataset, length):
             response += chunk
         elapsed = time.perf_counter() - start
         client.close()
-        head, _, body = response.partition(b"\r\n\r\n")
-        assert head.split(b"\r\n", 1)[0].split()[1] == b"400"
-        assert b"Connection: close" in head
-        document = json.loads(body)
-        assert document["code"] == "bad-request"
-        assert "Content-Length" in document["error"]
-        # Answered at once, well inside the 3 s handler timeout.
-        assert elapsed < 1.0
         # The only worker is free again.
         assert _http(port, "/healthz")["status"] == "ok"
     finally:
         server.shutdown()
         server.server_close()
+    head, _, body = response.partition(b"\r\n\r\n")
+    status = int(head.split(b"\r\n", 1)[0].split()[1])
+    return status, head, json.loads(body), elapsed
+
+
+@pytest.mark.parametrize("length", [b"-1", b"abc"])
+def test_http_bad_content_length_is_400_and_closes(serving_dataset, length):
+    """Regression: ``Content-Length: -1`` made the handler read to EOF,
+    so the client got no response and the worker was held until the
+    socket timeout."""
+    status, head, document, elapsed = _post_raw_length(serving_dataset,
+                                                       length)
+    assert status == 400
+    assert b"Connection: close" in head
+    assert document["code"] == "bad-request"
+    assert "Content-Length" in document["error"]
+    # Answered at once, well inside the 3 s handler timeout.
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("length", [b"1000000000000",
+                                    b"99999999999999999999"])
+def test_http_oversized_content_length_is_413_and_closes(serving_dataset,
+                                                         length):
+    """Regression: a huge ``Content-Length`` made the handler allocate
+    the body (``MemoryError``) or overflow the read size
+    (``OverflowError``), aborting the connection with no response."""
+    status, head, document, elapsed = _post_raw_length(serving_dataset,
+                                                       length)
+    assert status == 413
+    assert b"Connection: close" in head
+    assert document["code"] == "payload-too-large"
+    assert str(MAX_BODY_BYTES) in document["error"]
+    assert elapsed < 1.0
 
 
 def test_http_unknown_query_type_is_400_with_structured_body(http_service):
