@@ -31,8 +31,7 @@ from itertools import combinations, product
 import numpy as np
 
 from ..core.base import RangeQueryMechanism
-from ..core.query_estimation import (PairwiseBatchAnswering,
-                                     estimate_lambda_query)
+from ..core.query_estimation import PairwiseBatchAnswering
 from ..datasets import Dataset
 from ..frequency_oracles import OptimizedLocalHash, olh_variance
 from ..postprocess import constrained_inference_2d, norm_sub
@@ -290,18 +289,11 @@ class LHIO(PairwiseBatchAnswering, RangeQueryMechanism):
                              Predicate(other, 0, self._domain_size - 1)))
         return self._answer_pair(padded)
 
-    def _answer(self, query: RangeQuery) -> float:
-        if query.dimension == 1:
-            return self._answer_single(query)
-        if query.dimension == 2:
-            return self._answer_pair(query)
-        return estimate_lambda_query(query, self._answer_pair,
-                                     method=self.estimation_method)
-
     # ------------------------------------------------------------------
-    # Fused hooks (see PairwiseBatchAnswering): each pair group — λ = 1
-    # queries padded to pairs, λ = 2 queries, the C(λ,2) sub-queries of
-    # λ > 2 queries — is answered with one gather per 2-dim level.
+    # Fused hooks (see PairwiseBatchAnswering): the ranges of each pair —
+    # λ = 1 queries padded to pairs, λ = 2 queries, the C(λ,2)
+    # sub-queries of λ > 2 queries — are answered with one gather per
+    # 2-dim level.
     # ------------------------------------------------------------------
     def _has_lazy_levels(self) -> bool:
         return any(pair_hierarchy.lazy_groups
@@ -320,8 +312,20 @@ class LHIO(PairwiseBatchAnswering, RangeQueryMechanism):
             return self._answer_workload(compiled.flat_ranges)
         return super()._answer_compiled(compiled)
 
-    def _fused_pair_ranges(self, key, row_lows, row_highs, col_lows,
-                           col_highs) -> np.ndarray:
+    def _answer_ranges_2d(self, firsts, seconds, row_lows, row_highs,
+                          col_lows, col_highs) -> np.ndarray:
+        """Split the 2-D table by attribute pair; one call per pair."""
+        answers = np.empty(firsts.size)
+        codes = firsts * self._n_attributes + seconds
+        for code in np.unique(codes).tolist():
+            rows = codes == code
+            answers[rows] = self._pair_ranges(
+                divmod(code, self._n_attributes), row_lows[rows],
+                row_highs[rows], col_lows[rows], col_highs[rows])
+        return answers
+
+    def _pair_ranges(self, key, row_lows, row_highs, col_lows,
+                     col_highs) -> np.ndarray:
         """Sum every range's node combinations with one gather per level.
 
         Each range decomposes into (row node, column node) combinations
@@ -375,10 +379,3 @@ class LHIO(PairwiseBatchAnswering, RangeQueryMechanism):
                                    weights=values[rows[mask], cols[mask]],
                                    minlength=n_entries)
         return answers
-
-    def _fused_attribute_ranges(self, attribute, lows, highs) -> np.ndarray:
-        """1-D group: pad every range to the full domain of a partner."""
-        other = 0 if attribute != 0 else 1
-        return self._fused_pair_ranges(
-            (attribute, other), lows, highs, np.zeros_like(lows),
-            np.full_like(lows, self._domain_size - 1))

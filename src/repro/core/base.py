@@ -401,21 +401,25 @@ class RangeQueryMechanism(abc.ABC):
     def _plan_for(self, queries: list) -> CompiledPlan:
         """The workload's compiled plan, memoized per fitted schema.
 
-        Keyed by :func:`~repro.queries.plan_cache_key` — a stable
-        content hash of the workload plus the fitted ``(d, c,
-        population)`` schema, so refits and population changes (which
-        alter count scaling) miss instead of serving a stale plan.
+        Keyed by :func:`~repro.queries.plan_cache_key` — the workload
+        plus the fitted ``(d, c, population)`` schema, so refits and
+        population changes (which alter count scaling) miss instead of
+        serving a stale plan.  An unhashable workload bypasses the cache.
         """
         key = plan_cache_key(
             (self._n_attributes, self._domain_size, self._n_reports), queries)
-        compiled = self._typed_plan_cache.get(key)
+        try:
+            compiled = self._typed_plan_cache.get(key)
+        except TypeError:
+            key = compiled = None
         if compiled is None:
             plan = self.query_planner().plan(
                 queries, capabilities=self.query_capabilities)
             assert self._domain_size is not None
             compiled = CompiledPlan.from_plan(plan, self._domain_size,
                                               population=self._n_reports)
-            self._typed_plan_cache.put(key, compiled)
+            if key is not None:
+                self._typed_plan_cache.put(key, compiled)
         return compiled
 
     def plan_cache_stats(self) -> dict:

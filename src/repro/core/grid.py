@@ -19,11 +19,13 @@ engine is property-tested against.
 
 from __future__ import annotations
 
+from operator import attrgetter, is_
+
 import numpy as np
 
 from ..frequency_oracles import FrequencyOracle, SupportAccumulator
 from .prefix_sum import (PrefixIndex1D, PrefixIndex2D, SummedAreaTable,
-                         full_cell_range)
+                         response_rule_answers)
 
 
 def _check_divisible(domain_size: int, granularity: int) -> int:
@@ -297,10 +299,9 @@ class Grid2D:
         covered cells contribute either a uniform-guess share of their
         frequency (``response_matrix=None``, the TDG rule) or the sum of
         the response-matrix entries of the covered 2-D values (the HDG
-        rule, Section 4.1 Phase 3).  Passing a precomputed
-        ``response_index`` (the matrix's summed-area table) makes the HDG
-        rule O(1); with only the raw matrix the partial mass is taken
-        from two vectorised rectangle sums instead of a cell loop.
+        rule, Section 4.1 Phase 3).  The HDG rule reads the matrix's
+        summed-area table: pass it precomputed as ``response_index``, or
+        the raw matrix to have one built for the call.
         """
         row_low, row_high = interval_row
         col_low, col_high = interval_col
@@ -312,27 +313,9 @@ class Grid2D:
         if response_matrix is None and response_index is None:
             return float(self.build_index().answer_uniform(
                 row_low, row_high, col_low, col_high))
-        if response_index is not None:
-            return float(self.answer_ranges(
-                np.array([row_low]), np.array([row_high]),
-                np.array([col_low]), np.array([col_high]),
-                response_index=response_index)[0])
-
-        # Raw matrix, no index: the partial-cell mass is the query
-        # rectangle's matrix mass minus the fully-covered block's mass.
-        w = self.cell_width
-        first_row, last_row = full_cell_range(row_low, row_high, w)
-        first_col, last_col = full_cell_range(col_low, col_high, w)
-        answer = float(
-            response_matrix[row_low:row_high + 1, col_low:col_high + 1].sum())
-        if first_row <= last_row and first_col <= last_col:
-            answer += float(
-                self._frequencies[first_row:last_row + 1,
-                                  first_col:last_col + 1].sum())
-            answer -= float(
-                response_matrix[first_row * w:(last_row + 1) * w,
-                                first_col * w:(last_col + 1) * w].sum())
-        return answer
+        return float(self.answer_ranges(
+            row_low, row_high, col_low, col_high,
+            response_index=response_index or SummedAreaTable(response_matrix)))
 
     def answer_ranges(self, row_lows: np.ndarray, row_highs: np.ndarray,
                       col_lows: np.ndarray, col_highs: np.ndarray,
@@ -347,17 +330,9 @@ class Grid2D:
         if response_index is None:
             return np.asarray(self.build_index().answer_uniform(
                 row_lows, row_highs, col_lows, col_highs), dtype=float)
-        w = self.cell_width
-        first_row, last_row = full_cell_range(row_lows, row_highs, w)
-        first_col, last_col = full_cell_range(col_lows, col_highs, w)
-        grid_part = self.build_index().cell_block_sum(first_row, last_row,
-                                                      first_col, last_col)
-        matrix_all = response_index.rect_sum(row_lows, row_highs,
-                                             col_lows, col_highs)
-        matrix_full = response_index.rect_sum(
-            first_row * w, (last_row + 1) * w - 1,
-            first_col * w, (last_col + 1) * w - 1)
-        return np.asarray(grid_part + matrix_all - matrix_full, dtype=float)
+        return np.asarray(response_rule_answers(
+            self.build_index(), response_index, row_lows, row_highs,
+            col_lows, col_highs), dtype=float)
 
     def _check_response_shape(self, response_matrix: np.ndarray | None,
                               response_index: SummedAreaTable | None) -> None:
@@ -376,3 +351,111 @@ class Grid2D:
         if axis not in (0, 1):
             raise ValueError("axis must be 0 or 1")
         return self._frequencies.sum(axis=1 - axis)
+
+
+class GridStack:
+    """A fitted mechanism's grids, answering whole workloads at once.
+
+    Every table kind of every grid lives in one contiguous array: one
+    stacked :class:`~repro.core.prefix_sum.PrefixIndex1D` over the 1-D
+    grids, one stacked :class:`~repro.core.prefix_sum.PrefixIndex2D`
+    over the 2-D grids and one stacked
+    :class:`~repro.core.prefix_sum.SummedAreaTable` over the pairs'
+    response matrices.  Each grid's prefix index (and each pair's
+    :attr:`response_indexes` entry) is its slot of the stack — a view,
+    not a copy.
+
+    :meth:`answer_1d` and :meth:`answer_2d` answer every primitive of a
+    workload, on any attribute or pair, in one call over the stack; the
+    per-grid methods run the same arithmetic on one slot, so answers are
+    bitwise theirs.  Intervals are assumed valid.
+    """
+
+    def __init__(self, n_attributes: int, grids_1d: dict[int, Grid1D],
+                 grids_2d: dict[tuple[int, int], Grid2D],
+                 response_matrices: dict[tuple[int, int], np.ndarray]
+                 | None = None):
+        if grids_1d:  # one row per attribute, in attribute order
+            self._index_1d = _stack_indexes(
+                PrefixIndex1D, [grids_1d[a] for a in range(len(grids_1d))])
+        pairs = list(grids_2d)
+        self._index_2d = _stack_indexes(PrefixIndex2D,
+                                        [grids_2d[pair] for pair in pairs])
+        # d x d slot/orientation lookup: a pair stored only as (b, a)
+        # answers (a, b) with its two intervals swapped.
+        self._slots = np.full((n_attributes, n_attributes), -1, dtype=np.int64)
+        self._flipped = np.zeros((n_attributes, n_attributes), dtype=bool)
+        for slot, (a, b) in enumerate(pairs):
+            self._slots[a, b] = slot
+        for slot, (a, b) in enumerate(pairs):
+            if self._slots[b, a] < 0:
+                self._slots[b, a], self._flipped[b, a] = slot, True
+        if (self._slots < 0).sum() > n_attributes:
+            raise ValueError("grids must cover every attribute pair")
+        #: Response-matrix summed-area tables by pair (slots of the stack).
+        self.response_indexes: dict[tuple[int, int], SummedAreaTable] = {}
+        self._responses = None
+        if response_matrices is not None:
+            self._responses = SummedAreaTable(
+                [response_matrices[pair] for pair in pairs])
+            self.response_indexes = {pair: self._responses.slot(slot)
+                                     for slot, pair in enumerate(pairs)}
+        self._built_from = self._sources(grids_1d, grids_2d, response_matrices)
+
+    @staticmethod
+    def _sources(grids_1d, grids_2d, response_matrices) -> list:
+        """Each grid's cached index (None once a mutation dropped it) and
+        each response-matrix object."""
+        return [*map(_cached_index, grids_1d.values()),
+                *map(_cached_index, grids_2d.values()),
+                *(response_matrices or {}).values()]
+
+    def matches(self, grids_1d: dict, grids_2d: dict,
+                response_matrices: dict | None = None) -> bool:
+        """Whether the stack still reflects these grids and matrices.
+
+        It does while every grid holds the index the stack gave it (every
+        mutation through the grid API drops it) and every pair maps to
+        the same response-matrix object, so replaced frequencies or
+        matrices are restacked, never served stale.
+        """
+        now = self._sources(grids_1d, grids_2d, response_matrices)
+        return len(now) == len(self._built_from) and all(
+            map(is_, now, self._built_from))
+
+    def answer_1d(self, attributes: np.ndarray, lows: np.ndarray,
+                  highs: np.ndarray) -> np.ndarray:
+        """1-D uniformity-rule answers, each range on its attribute's grid."""
+        return self._index_1d.answer(lows, highs, rows=attributes)
+
+    def answer_2d(self, firsts: np.ndarray, seconds: np.ndarray,
+                  row_lows: np.ndarray, row_highs: np.ndarray,
+                  col_lows: np.ndarray, col_highs: np.ndarray) -> np.ndarray:
+        """2-D answers, each range on the grid of its pair ``(first, second)``.
+
+        The row interval restricts ``first``.  With response matrices
+        every pair follows the HDG rule, otherwise the uniformity rule.
+        """
+        slots = self._slots[firsts, seconds]
+        flipped = self._flipped[firsts, seconds]
+        if flipped.any():
+            row_lows, col_lows = (np.where(flipped, col_lows, row_lows),
+                                  np.where(flipped, row_lows, col_lows))
+            row_highs, col_highs = (np.where(flipped, col_highs, row_highs),
+                                    np.where(flipped, row_highs, col_highs))
+        ranges = (row_lows, row_highs, col_lows, col_highs, slots)
+        if self._responses is None:
+            return self._index_2d.answer_uniform(*ranges)
+        return response_rule_answers(self._index_2d, self._responses, *ranges)
+
+
+_cached_index = attrgetter("_index")
+
+
+def _stack_indexes(index_class, grids: list):
+    """One index over all ``grids``; each grid's index becomes its slot."""
+    stacked = index_class(np.stack([grid.frequencies for grid in grids]),
+                          grids[0].cell_width)
+    for slot, grid in enumerate(grids):
+        grid._index = stacked.slot(slot)
+    return stacked

@@ -33,7 +33,6 @@ from .granularity import (DEFAULT_ALPHA1, DEFAULT_ALPHA2,
                           choose_granularities_hdg)
 from .grid import Grid1D, Grid2D
 from .phase2 import run_phase2
-from .prefix_sum import SummedAreaTable
 from .query_estimation import PairwiseBatchAnswering, estimate_lambda_query
 from .response_matrix import build_response_matrix
 
@@ -102,11 +101,6 @@ class HDG(PairwiseBatchAnswering, RangeQueryMechanism):
         self.grids_1d: dict[int, Grid1D] = {}
         self.grids_2d: dict[tuple[int, int], Grid2D] = {}
         self.response_matrices: dict[tuple[int, int], np.ndarray] = {}
-        #: Per-pair (source matrix, summed-area table) pairs; the source
-        #: reference detects a replaced response matrix so the table is
-        #: rebuilt instead of served stale.
-        self._response_indexes: dict[tuple[int, int],
-                                     tuple[np.ndarray, SummedAreaTable]] = {}
         self.matrix_iteration_history: dict[tuple[int, int], list[float]] = {}
         self.chosen_g1: int | None = None
         self.chosen_g2: int | None = None
@@ -126,7 +120,6 @@ class HDG(PairwiseBatchAnswering, RangeQueryMechanism):
         self.grids_1d = {}
         self.grids_2d = {}
         self.response_matrices = {}
-        self._response_indexes = {}
         self.matrix_iteration_history = {}
         self.chosen_g1 = None
         self.chosen_g2 = None
@@ -251,7 +244,6 @@ class HDG(PairwiseBatchAnswering, RangeQueryMechanism):
         threshold = min(self.convergence_threshold,
                         1.0 / max(self._total_reports, 1))
         self.response_matrices = {}
-        self._response_indexes = {}
         self.matrix_iteration_history = {}
         for pair, grid in self.grids_2d.items():
             result = build_response_matrix(self.grids_1d[pair[0]],
@@ -262,15 +254,9 @@ class HDG(PairwiseBatchAnswering, RangeQueryMechanism):
             self.response_matrices[pair] = result.matrix
             self.matrix_iteration_history[pair] = result.change_history
 
-        # Precompute the batch engine's lookup tables: prefix-sum indexes
-        # over every grid plus a summed-area table per response matrix.
-        for grid in self.grids_1d.values():
-            grid.build_index()
-        for grid in self.grids_2d.values():
-            grid.build_index()
-        self._response_indexes = {
-            pair: (matrix, SummedAreaTable(matrix))
-            for pair, matrix in self.response_matrices.items()}
+        # Stack the answering tables: prefix-sum indexes over every grid
+        # plus a summed-area table per response matrix.
+        self._grid_stack()
 
     # ------------------------------------------------------------------
     # Shard-state serialization (see docs/architecture.md for the schema)
@@ -377,22 +363,18 @@ class HDG(PairwiseBatchAnswering, RangeQueryMechanism):
             attribute = int(key)
             grid = Grid1D(attribute, c, self.chosen_g1)
             grid.set_frequencies(np.asarray(values, dtype=float))
-            grid.build_index()
             self.grids_1d[attribute] = grid
         self.grids_2d = {}
         for key, rows in payload["grids_2d"].items():
             a, b = (int(part) for part in key.split(","))
             grid = Grid2D((a, b), c, self.chosen_g2)
             grid.set_frequencies(np.asarray(rows, dtype=float))
-            grid.build_index()
             self.grids_2d[(a, b)] = grid
         self.response_matrices = {}
         for key, rows in payload["response_matrices"].items():
             a, b = (int(part) for part in key.split(","))
             self.response_matrices[(a, b)] = np.asarray(rows, dtype=float)
-        self._response_indexes = {
-            pair: (matrix, SummedAreaTable(matrix))
-            for pair, matrix in self.response_matrices.items()}
+        self._grid_stack()
         self.matrix_iteration_history = {}
         for key, history in payload.get("matrix_iteration_history", {}).items():
             a, b = (int(part) for part in key.split(","))
@@ -430,82 +412,12 @@ class HDG(PairwiseBatchAnswering, RangeQueryMechanism):
     # ------------------------------------------------------------------
     # Phase 3: answering
     # ------------------------------------------------------------------
-    def _pair_key(self, attr_a: int, attr_b: int) -> tuple[tuple[int, int], bool]:
-        if (attr_a, attr_b) in self.grids_2d:
-            return (attr_a, attr_b), False
-        if (attr_b, attr_a) in self.grids_2d:
-            return (attr_b, attr_a), True
-        raise KeyError(f"no grid for attribute pair ({attr_a}, {attr_b})")
+    def _stacked_grids(self) -> tuple[dict, dict, dict]:
+        return self.grids_1d, self.grids_2d, self.response_matrices
 
-    def _pair_intervals(self, query: RangeQuery) -> tuple[tuple[int, int],
-                                                          tuple[int, int],
-                                                          tuple[int, int]]:
-        """The grid key of a pair query plus the grid-axis-ordered intervals."""
-        attr_a, attr_b = query.attributes
-        key, flipped = self._pair_key(attr_a, attr_b)
-        interval_a = query.interval(attr_a)
-        interval_b = query.interval(attr_b)
-        if flipped:
-            interval_a, interval_b = interval_b, interval_a
-        return key, interval_a, interval_b
-
-    def _response_index(self, key: tuple[int, int]) -> SummedAreaTable | None:
-        """The pair's response-matrix summed-area table, built on demand.
-
-        Returning None only when the pair genuinely has no response
-        matrix keeps the batch path on the HDG rule whenever the scalar
-        path would be — a missing or out-of-date cache entry (the pair's
-        matrix was replaced after finalize) is rebuilt, never silently
-        downgraded to the uniformity rule or served stale.
-        """
-        matrix = self.response_matrices.get(key)
-        if matrix is None:
-            return None
-        entry = self._response_indexes.get(key)
-        if entry is None or entry[0] is not matrix:
-            entry = (matrix, SummedAreaTable(matrix))
-            self._response_indexes[key] = entry
-        return entry[1]
-
-    def _answer_pair(self, query: RangeQuery) -> float:
-        key, interval_a, interval_b = self._pair_intervals(query)
-        grid = self.grids_2d[key]
-        return grid.answer_range(interval_a, interval_b,
-                                 response_matrix=self.response_matrices.get(key),
-                                 response_index=self._response_index(key))
-
-    def _answer_single(self, query: RangeQuery) -> float:
-        attribute = query.attributes[0]
-        low, high = query.interval(attribute)
-        return self.grids_1d[attribute].answer_range(low, high)
-
-    # ------------------------------------------------------------------
-    # Fused hooks (see PairwiseBatchAnswering)
-    # ------------------------------------------------------------------
-    def _fused_pair_ranges(self, key, row_lows, row_highs, col_lows,
-                           col_highs) -> np.ndarray:
-        """One pair grid's corner lookups for a compiled pair group."""
-        grid = self.grids_2d.get(key)
-        if grid is None:
-            key = (key[1], key[0])
-            grid = self.grids_2d[key]
-            row_lows, row_highs, col_lows, col_highs = \
-                col_lows, col_highs, row_lows, row_highs
-        return grid.answer_ranges(row_lows, row_highs, col_lows, col_highs,
-                                  response_index=self._response_index(key))
-
-    def _fused_attribute_ranges(self, attribute, lows, highs) -> np.ndarray:
-        """1-D group: vectorised lookups on the fine-grained 1-D grid."""
-        return self.grids_1d[attribute].answer_ranges(lows, highs)
-
-    def _answer(self, query: RangeQuery) -> float:
-        if query.dimension == 1:
-            return self._answer_single(query)
-        if query.dimension == 2:
-            return self._answer_pair(query)
-        return estimate_lambda_query(query, self._answer_pair,
-                                     method=self.estimation_method,
-                                     max_iterations=self.estimation_iterations)
+    def _answer_ranges_1d(self, attributes, lows, highs) -> np.ndarray:
+        """1-D ranges read each attribute's fine-grained 1-D grid."""
+        return self._grid_stack().answer_1d(attributes, lows, highs)
 
     # ------------------------------------------------------------------
     # Diagnostics used by the convergence experiments

@@ -24,6 +24,7 @@ from ..estimation import (Constraint, max_entropy_estimate, weighted_update,
                           weighted_update_batch)
 from ..queries import RangeQuery
 from ..queries.compiler import group_primitives
+from .grid import GridStack
 
 #: Signature of the callable that answers an associated 2-D sub-query.
 PairAnswerFn = Callable[[RangeQuery], float]
@@ -138,31 +139,79 @@ class PairwiseBatchAnswering:
     """Mixin: fused workload answering for pair-decomposable mechanisms.
 
     Mechanisms that answer 1-D/2-D queries directly and λ > 2 queries by
-    combining 2-D sub-answers (TDG, HDG, LHIO) mix this in and provide
-    the two vectorised hooks :meth:`_fused_attribute_ranges` and
-    :meth:`_fused_pair_ranges`.  Every multi-primitive workload — a
-    range list, or a typed workload's compiled plan — is partitioned
-    into :class:`~repro.queries.compiler.ExecutionGroups` and answered
-    by :meth:`_answer_groups`: one vectorised call per attribute or
-    attribute pair, then one batched Algorithm-2 iteration per distinct
-    λ.  The scalar ``_answer`` stays the per-query reference.
+    combining 2-D sub-answers (TDG, HDG, LHIO) mix this in.  Every
+    multi-primitive workload — a range list, or a typed workload's
+    compiled plan — is laid out as
+    :class:`~repro.queries.compiler.ExecutionGroups` and answered by
+    :meth:`_answer_groups`: one call of :meth:`_answer_ranges_1d` for
+    every 1-D range, one of :meth:`_answer_ranges_2d` for every 2-D
+    range and λ > 2 sub-pair, then one batched Algorithm-2 iteration
+    per distinct λ.  Grid mechanisms answer both hooks from their
+    :class:`~repro.core.grid.GridStack` (:meth:`_stacked_grids` names
+    the grids); the scalar ``_answer`` runs the same hooks on one query
+    and combines λ > 2 sub-answers per query with
+    :func:`estimate_lambda_query`.
     """
 
     #: Combiner for λ > 2 queries; set by the mechanism constructor.
     estimation_method: str = "weighted_update"
     #: Iteration cap for Algorithm 2; set by the mechanism constructor.
     estimation_iterations: int = 100
+    #: Stacked tables of the fitted grids; built by finalize.
+    _stack: GridStack | None = None
 
-    def _fused_attribute_ranges(self, attribute: int, lows: np.ndarray,
-                                highs: np.ndarray) -> np.ndarray:
-        """Vectorised answers for one attribute's 1-D endpoint arrays."""
+    def _stacked_grids(self) -> tuple[dict, dict, dict | None]:
+        """The (1-D grids, 2-D grids, response matrices) to stack."""
         raise NotImplementedError
 
-    def _fused_pair_ranges(self, key: tuple[int, int], row_lows: np.ndarray,
-                           row_highs: np.ndarray, col_lows: np.ndarray,
-                           col_highs: np.ndarray) -> np.ndarray:
-        """Vectorised answers for one attribute pair's 2-D endpoint arrays."""
-        raise NotImplementedError
+    def _grid_stack(self) -> GridStack:
+        """The grid stack, rebuilt if a grid or matrix changed since."""
+        grids, stack = self._stacked_grids(), self._stack
+        if stack is None or not stack.matches(*grids):
+            stack = self._stack = GridStack(self._n_attributes, *grids)
+        return stack
+
+    def _answer_ranges_1d(self, attributes: np.ndarray, lows: np.ndarray,
+                          highs: np.ndarray) -> np.ndarray:
+        """Vectorised answers for 1-D ranges on any attributes.
+
+        By default each range is padded to a pair with a full-domain
+        partner (attribute 0, or 1 for attribute 0), marginalising that
+        pair's 2-D answer.
+        """
+        return self._answer_ranges_2d(
+            attributes, (attributes == 0).astype(np.int64), lows, highs,
+            np.zeros_like(lows), np.full_like(lows, self._domain_size - 1))
+
+    def _answer_ranges_2d(self, firsts: np.ndarray, seconds: np.ndarray,
+                          row_lows: np.ndarray, row_highs: np.ndarray,
+                          col_lows: np.ndarray,
+                          col_highs: np.ndarray) -> np.ndarray:
+        """Vectorised answers for 2-D ranges on any attribute pairs."""
+        return self._grid_stack().answer_2d(firsts, seconds, row_lows,
+                                            row_highs, col_lows, col_highs)
+
+    def _answer_single(self, query: RangeQuery) -> float:
+        """One 1-D query through the workload lookup."""
+        predicate, = query.predicates
+        return float(self._answer_ranges_1d(*np.array(
+            [[predicate.attribute], [predicate.low], [predicate.high]]))[0])
+
+    def _answer_pair(self, query: RangeQuery) -> float:
+        """One 2-D query through the workload lookup."""
+        first, second = query.predicates
+        return float(self._answer_ranges_2d(*np.array(
+            [[first.attribute], [second.attribute], [first.low],
+             [first.high], [second.low], [second.high]]))[0])
+
+    def _answer(self, query: RangeQuery) -> float:
+        if query.dimension == 1:
+            return self._answer_single(query)
+        if query.dimension == 2:
+            return self._answer_pair(query)
+        return estimate_lambda_query(query, self._answer_pair,
+                                     method=self.estimation_method,
+                                     max_iterations=self.estimation_iterations)
 
     def _answer_workload(self, queries: list[RangeQuery]) -> np.ndarray:
         return self._answer_groups(group_primitives(queries))
@@ -171,7 +220,7 @@ class PairwiseBatchAnswering:
         return self._answer_groups(compiled.groups)
 
     def _answer_groups(self, groups) -> np.ndarray:
-        """Answer grouped primitives as one flat vector in list order.
+        """Answer laid-out primitives as one flat vector in list order.
 
         λ > 2 rows get the clipped pair answers plus the simplex
         normalisation to 1 as Weighted Update targets — the constraints
@@ -179,21 +228,14 @@ class PairwiseBatchAnswering:
         entropy runs :func:`estimate_lambda_query` per row on the
         gathered sub-answers.
         """
-        answers = np.empty(groups.n_primitives)
-        for group in groups.single_groups:
-            answers[group.positions] = self._fused_attribute_ranges(
-                group.attribute, group.lows, group.highs)
-        for group in groups.pair_groups:
-            answers[group.positions] = self._fused_pair_ranges(
-                group.key, group.row_lows, group.row_highs, group.col_lows,
-                group.col_highs)
-        if not groups.n_sub_entries:
-            return answers
-        sub_answers = np.empty(groups.n_sub_entries)
-        for group in groups.multi_pair_groups:
-            sub_answers[group.positions] = self._fused_pair_ranges(
-                group.key, group.row_lows, group.row_highs, group.col_lows,
-                group.col_highs)
+        values = np.empty(groups.n_primitives + groups.n_sub_entries)
+        *ranges, destinations = groups.ranges_1d
+        if destinations.size:
+            values[destinations] = self._answer_ranges_1d(*ranges)
+        *ranges, destinations = groups.ranges_2d
+        if destinations.size:
+            values[destinations] = self._answer_ranges_2d(*ranges)
+        answers = values[:groups.n_primitives]
         for group in groups.multi_dim_groups:
             if self.estimation_method != "weighted_update":
                 for position, query, sub_indices in zip(
@@ -201,15 +243,14 @@ class PairwiseBatchAnswering:
                         group.sub_index_matrix):
                     lookup = dict(zip((sub.attributes for sub
                                        in query.pairwise_subqueries()),
-                                      sub_answers[sub_indices]))
+                                      values[sub_indices]))
                     answers[position] = estimate_lambda_query(
                         query, lambda sub: lookup[sub.attributes],
                         method=self.estimation_method,
                         max_iterations=self.estimation_iterations)
                 continue
             targets = np.ones((group.positions.size, len(group.index_sets)))
-            targets[:, :-1] = np.maximum(0.0,
-                                         sub_answers[group.sub_index_matrix])
+            targets[:, :-1] = np.maximum(0.0, values[group.sub_index_matrix])
             estimates = weighted_update_batch(
                 1 << group.dimension, group.index_sets, targets,
                 max_iterations=self.estimation_iterations)

@@ -24,12 +24,11 @@ import numpy as np
 from ..datasets import Dataset
 from ..frequency_oracles import OptimizedLocalHash, SupportAccumulator
 from ..protocol import partition_users
-from ..queries import Predicate, RangeQuery
 from .base import RangeQueryMechanism
 from .granularity import DEFAULT_ALPHA2, choose_granularity_tdg
 from .grid import Grid2D
 from .phase2 import run_phase2
-from .query_estimation import PairwiseBatchAnswering, estimate_lambda_query
+from .query_estimation import PairwiseBatchAnswering
 
 
 class TDG(PairwiseBatchAnswering, RangeQueryMechanism):
@@ -159,10 +158,9 @@ class TDG(PairwiseBatchAnswering, RangeQueryMechanism):
         if self.postprocess:
             run_phase2(self._n_attributes, {}, self.grids, n_buckets=g2,
                        rounds=self.consistency_rounds)
-        # Precompute the prefix-sum indexes so the first query is as fast
-        # as the thousandth.
-        for grid in self.grids.values():
-            grid.build_index()
+        # Stack the prefix-sum indexes so the first query is as fast as
+        # the thousandth.
+        self._grid_stack()
 
     # ------------------------------------------------------------------
     # Shard-state serialization (see docs/architecture.md for the schema)
@@ -243,77 +241,15 @@ class TDG(PairwiseBatchAnswering, RangeQueryMechanism):
             a, b = (int(part) for part in key.split(","))
             grid = Grid2D((a, b), self._domain_size, self.chosen_g2)
             grid.set_frequencies(np.asarray(rows, dtype=float))
-            grid.build_index()
             self.grids[(a, b)] = grid
         self._accumulators = {pair: None for pair in self.grids}
+        self._grid_stack()
 
     # ------------------------------------------------------------------
-    # Phase 3: answering
+    # Phase 3: answering (see PairwiseBatchAnswering)
     # ------------------------------------------------------------------
-    def _grid_for(self, attr_a: int, attr_b: int) -> tuple[Grid2D, bool]:
-        """Return the grid holding the pair and whether the order is flipped."""
-        if (attr_a, attr_b) in self.grids:
-            return self.grids[(attr_a, attr_b)], False
-        if (attr_b, attr_a) in self.grids:
-            return self.grids[(attr_b, attr_a)], True
-        raise KeyError(f"no grid for attribute pair ({attr_a}, {attr_b})")
-
-    def _pair_intervals(self, query: RangeQuery) -> tuple[Grid2D, tuple[int, int],
-                                                          tuple[int, int]]:
-        """The 2-D grid of a pair query plus the grid-axis-ordered intervals."""
-        attr_a, attr_b = query.attributes
-        grid, flipped = self._grid_for(attr_a, attr_b)
-        interval_a = query.interval(attr_a)
-        interval_b = query.interval(attr_b)
-        if flipped:
-            interval_a, interval_b = interval_b, interval_a
-        return grid, interval_a, interval_b
-
-    def _answer_pair(self, query: RangeQuery) -> float:
-        grid, interval_a, interval_b = self._pair_intervals(query)
-        return grid.answer_range(interval_a, interval_b)
-
-    def _pad_to_pair(self, query: RangeQuery) -> RangeQuery:
-        """Extend a 1-D query with a second, unrestricted attribute."""
-        attribute = query.attributes[0]
-        low, high = query.interval(attribute)
-        other = 0 if attribute != 0 else 1
-        return RangeQuery((Predicate(attribute, low, high),
-                           Predicate(other, 0, self._domain_size - 1)))
-
-    def _answer_single(self, query: RangeQuery) -> float:
-        """1-D query: marginalise any grid containing the attribute."""
-        return self._answer_pair(self._pad_to_pair(query))
-
-    def _answer(self, query: RangeQuery) -> float:
-        if query.dimension == 1:
-            return self._answer_single(query)
-        if query.dimension == 2:
-            return self._answer_pair(query)
-        return estimate_lambda_query(query, self._answer_pair,
-                                     method=self.estimation_method,
-                                     max_iterations=self.estimation_iterations)
-
-    # ------------------------------------------------------------------
-    # Fused hooks (see PairwiseBatchAnswering)
-    # ------------------------------------------------------------------
-    def _fused_pair_ranges(self, key, row_lows, row_highs, col_lows,
-                           col_highs) -> np.ndarray:
-        """One grid's corner lookups for a compiled pair group."""
-        grid = self.grids.get(key)
-        if grid is None:
-            grid = self.grids[(key[1], key[0])]
-            row_lows, row_highs, col_lows, col_highs = \
-                col_lows, col_highs, row_lows, row_highs
-        return grid.answer_ranges(row_lows, row_highs, col_lows, col_highs)
-
-    def _fused_attribute_ranges(self, attribute, lows, highs) -> np.ndarray:
-        """1-D group: marginalise a grid containing the attribute."""
-        other = 0 if attribute != 0 else 1
-        full_lows = np.zeros_like(lows)
-        full_highs = np.full_like(lows, self._domain_size - 1)
-        return self._fused_pair_ranges((attribute, other), lows, highs,
-                                       full_lows, full_highs)
+    def _stacked_grids(self) -> tuple[dict, dict, None]:
+        return {}, self.grids, None
 
 
 class ITDG(TDG):

@@ -3,14 +3,14 @@
 Pair-decomposable mechanisms (TDG, HDG, their ablations, CALM, LHIO)
 answer every multi-primitive workload through one layout.
 :func:`group_primitives` walks a flat :class:`~repro.queries.RangeQuery`
-list *once* and freezes it into :class:`ExecutionGroups`: one
-:class:`SingleGroup` per queried attribute (positions + endpoint
-arrays), one :class:`PairGroup` per attribute pair, and for λ > 2
-primitives the flattened C(λ,2) sub-pair layout plus the per-λ
+list *once* and freezes it into :class:`ExecutionGroups`: one flat 1-D
+table (attribute, endpoints, destination) and one flat 2-D table (both
+attributes, four endpoints, destination), where λ > 2 primitives add
+their C(λ,2) sub-pairs to the 2-D table, plus the per-λ
 Weighted-Update constraint structure (:class:`MultiDimGroup`).  The
-mechanism then answers the whole workload with one vectorised gather
-per group and one batched Algorithm-2 iteration per distinct λ — no
-per-primitive Python.
+mechanism then answers the whole workload with one vectorised lookup
+per table over all its grids and one batched Algorithm-2 iteration per
+distinct λ — no per-primitive or per-pair Python.
 
 A pure range list is grouped directly.  A typed workload first goes
 through :class:`~repro.queries.QueryPlanner` (validation and lowering),
@@ -20,14 +20,14 @@ precomputed scale vector (count queries fold their population in);
 marginal/top-k tables keep their precomputed slices and shapes.
 
 Compiled plans are cached across requests by :class:`PlanCache`, a
-thread-safe bounded LRU keyed by a stable (schema, workload) hash
-(:func:`plan_cache_key`), with hit/miss/eviction counters the serving
-tier surfaces in its health document.  Range lists skip both the
+thread-safe bounded LRU keyed by the fitted schema plus the query
+tuple itself (:func:`plan_cache_key`), with hit/miss/eviction counters
+the serving tier surfaces in its health document.  Range lists skip both the
 planner and the cache.
 
-Groups keep their primitives in list order and every gather answers a
+Tables keep their primitives in list order and every gather answers a
 range from its own grid corners, so a primitive's answer does not
-depend on how the workload was grouped.  ``tests/test_plan_compiler.py``
+depend on the rest of the workload.  ``tests/test_plan_compiler.py``
 pins the compiled answers against the per-query scalar path and the
 reference assembler in ``tests/oracles/`` for all five query kinds
 across all nine mechanisms.
@@ -35,7 +35,6 @@ across all nine mechanisms.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,44 +47,13 @@ from .ir import (DistributionResult, MarginalQuery, PointQuery,
 from .planner import QueryPlan, top_k_cells
 from .range_query import RangeQuery
 
-__all__ = ["CompiledPlan", "ExecutionGroups", "MultiDimGroup", "PairGroup",
-           "PlanCache", "SingleGroup", "group_primitives", "plan_cache_key",
-           "workload_fingerprint"]
+__all__ = ["CompiledPlan", "ExecutionGroups", "MultiDimGroup", "PlanCache",
+           "group_primitives", "plan_cache_key"]
 
 
 # ----------------------------------------------------------------------
 # Execution groups
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class SingleGroup:
-    """All 1-D primitives of one attribute, as endpoint arrays.
-
-    ``positions`` indexes into the flat primitive-answer vector (or the
-    sub-answer vector when the group feeds a λ > 2 decomposition).
-    """
-
-    attribute: int
-    positions: np.ndarray
-    lows: np.ndarray
-    highs: np.ndarray
-
-
-@dataclass(frozen=True)
-class PairGroup:
-    """All 2-D primitives of one (sorted) attribute pair.
-
-    Primitives keep plan order within the group; the mechanism resolves
-    grid orientation once per group instead of once per primitive.
-    """
-
-    key: tuple[int, int]
-    positions: np.ndarray
-    row_lows: np.ndarray
-    row_highs: np.ndarray
-    col_lows: np.ndarray
-    col_highs: np.ndarray
-
-
 @dataclass(frozen=True)
 class MultiDimGroup:
     """All λ-D primitives (λ > 2) of one dimension.
@@ -93,10 +61,10 @@ class MultiDimGroup:
     ``sub_index_matrix`` has one row per primitive holding the indices
     of its C(λ,2) sub-answers (in
     :meth:`~repro.queries.RangeQuery.pairwise_subqueries` order) inside
-    the flat sub-answer vector; ``index_sets`` is Algorithm 2's
-    constraint structure for this λ, precompiled once.  ``queries``
-    holds the primitives themselves, for combiners that run per query
-    (max entropy).
+    the flat value vector, after its ``n_primitives`` answers;
+    ``index_sets`` is Algorithm 2's constraint structure for this λ,
+    precompiled once.  ``queries`` holds the primitives themselves, for
+    combiners that run per query (max entropy).
     """
 
     dimension: int
@@ -134,58 +102,59 @@ class _TableLayout:
 
 @dataclass(frozen=True)
 class ExecutionGroups:
-    """A flat primitive list partitioned for fused execution.
+    """A flat primitive list laid out for fused execution.
 
     Built by :func:`group_primitives`, from a compiled plan's lowered
-    primitives or straight from a range list; pair-decomposable
-    mechanisms answer every group with one vectorised call
+    primitives or straight from a range list.  ``ranges_1d`` holds one
+    column per 1-D range (rows: attribute, low, high, destination) and
+    ``ranges_2d`` one per 2-D range (rows: first attribute, second
+    attribute, first's low and high, second's low and high,
+    destination).  A destination indexes the flat value vector: the
+    ``n_primitives`` answers, then the ``n_sub_entries`` 2-D
+    sub-answers of the λ > 2 primitives.  Pair-decomposable mechanisms
+    answer each table with one vectorised call
     (``PairwiseBatchAnswering._answer_groups``).
     """
 
     n_primitives: int
-    single_groups: list[SingleGroup]
-    pair_groups: list[PairGroup]
-    multi_pair_groups: list[PairGroup]
+    ranges_1d: np.ndarray
+    ranges_2d: np.ndarray
     multi_dim_groups: list[MultiDimGroup]
     n_sub_entries: int
 
 
 def group_primitives(ranges: list[RangeQuery]) -> ExecutionGroups:
-    """Partition range primitives by dimension and attribute signature.
+    """Lay range primitives out as flat 1-D/2-D tables plus λ > 2 groups.
 
-    Groups keep their primitives in list order; a λ > 2 primitive
+    Tables keep their ranges in list order; a λ > 2 primitive
     contributes its C(λ,2) sub-pairs (lexicographic by position, the
     :meth:`~repro.queries.RangeQuery.pairwise_subqueries` order) to the
-    flat sub-answer layout.
+    2-D table, aimed at the sub-answer part of the value vector.
     """
-    singles: dict[int, list[tuple[int, int, int]]] = {}
-    pairs: dict[tuple[int, int], list[tuple[int, int, int, int, int]]] = {}
-    multi_pairs: dict[tuple[int, int],
-                      list[tuple[int, int, int, int, int]]] = {}
+    n_primitives = len(ranges)
+    ranges_1d: list[tuple[int, ...]] = []
+    ranges_2d: list[tuple[int, ...]] = []
     multis_by_dim: dict[int, tuple[list[int], list[list[int]],
                                    list[RangeQuery]]] = {}
-    n_sub = 0
+    destination = n_primitives
     for index, primitive in enumerate(ranges):
         predicates = primitive.predicates
         if len(predicates) == 1:
-            predicate = predicates[0]
-            singles.setdefault(predicate.attribute, []).append(
-                (index, predicate.low, predicate.high))
+            first, = predicates
+            ranges_1d.append((first.attribute, first.low, first.high, index))
         elif len(predicates) == 2:
             first, second = predicates
-            pairs.setdefault((first.attribute, second.attribute), []).append(
-                (index, first.low, first.high, second.low, second.high))
+            ranges_2d.append((first.attribute, second.attribute, first.low,
+                              first.high, second.low, second.high, index))
         else:
             sub_indices = []
-            for i in range(len(predicates)):
-                for j in range(i + 1, len(predicates)):
-                    multi_pairs.setdefault(
-                        (predicates[i].attribute,
-                         predicates[j].attribute), []).append(
-                        (n_sub, predicates[i].low, predicates[i].high,
-                         predicates[j].low, predicates[j].high))
-                    sub_indices.append(n_sub)
-                    n_sub += 1
+            for i, first in enumerate(predicates):
+                for second in predicates[i + 1:]:
+                    ranges_2d.append((first.attribute, second.attribute,
+                                      first.low, first.high, second.low,
+                                      second.high, destination))
+                    sub_indices.append(destination)
+                    destination += 1
             positions, rows, queries = multis_by_dim.setdefault(
                 len(predicates), ([], [], []))
             positions.append(index)
@@ -194,26 +163,18 @@ def group_primitives(ranges: list[RangeQuery]) -> ExecutionGroups:
 
     from ..core.query_estimation import lambda_constraint_index_sets
 
-    def pair_group(key, rows) -> PairGroup:
-        data = np.asarray(rows, dtype=np.int64)
-        return PairGroup(key, data[:, 0], data[:, 1], data[:, 2],
-                         data[:, 3], data[:, 4])
-
     return ExecutionGroups(
-        n_primitives=len(ranges),
-        single_groups=[
-            SingleGroup(attribute, *np.asarray(rows, dtype=np.int64).T)
-            for attribute, rows in singles.items()],
-        pair_groups=[pair_group(key, rows) for key, rows in pairs.items()],
-        multi_pair_groups=[pair_group(key, rows)
-                           for key, rows in multi_pairs.items()],
+        n_primitives=n_primitives,
+        # One contiguous row per column; int32 halves a cached plan's size.
+        ranges_1d=np.array(ranges_1d, dtype=np.int32).reshape(-1, 4).T.copy(),
+        ranges_2d=np.array(ranges_2d, dtype=np.int32).reshape(-1, 7).T.copy(),
         multi_dim_groups=[
             MultiDimGroup(dimension, np.asarray(positions, dtype=np.int64),
                           np.asarray(rows, dtype=np.int64),
                           lambda_constraint_index_sets(dimension), queries)
             for dimension, (positions, rows, queries)
             in multis_by_dim.items()],
-        n_sub_entries=n_sub)
+        n_sub_entries=destination - n_primitives)
 
 
 class CompiledPlan:
@@ -346,30 +307,17 @@ class CompiledPlan:
 # ----------------------------------------------------------------------
 # Cache keying
 # ----------------------------------------------------------------------
-def workload_fingerprint(queries) -> str:
-    """A stable content hash of a typed workload.
-
-    Queries are frozen dataclasses with deterministic ``repr``, so the
-    SHA-256 over their reprs is stable across processes and restarts —
-    unlike ``hash()``, which is salted per interpreter for strings and
-    varies for tuples of them.
-    """
-    digest = hashlib.sha256()
-    for query in queries:
-        digest.update(repr(query).encode("utf-8"))
-        digest.update(b"\x1e")
-    return digest.hexdigest()
-
-
 def plan_cache_key(schema: tuple, queries) -> tuple:
-    """LRU key for a compiled plan: fitted schema + workload hash.
+    """LRU key for a compiled plan: fitted schema + the workload itself.
 
     ``schema`` is the answering mechanism's ``(n_attributes,
     domain_size, population)`` triple — refits and population changes
     (which alter count-query scaling) therefore miss instead of serving
-    a stale plan.
+    a stale plan.  Queries are frozen, hashable dataclasses and the
+    cache lives in memory only, so the query tuple is its own key;
+    hashing it raises ``TypeError`` for an unhashable workload.
     """
-    return (*schema, workload_fingerprint(queries))
+    return (*schema, tuple(queries))
 
 
 class PlanCache(CountedLRU):

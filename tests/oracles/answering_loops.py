@@ -130,16 +130,25 @@ def mechanism_answer_loop(mechanism, queries) -> np.ndarray:
         return RangeQuery((query.predicates[0],
                            Predicate(other, 0, mechanism._domain_size - 1)))
 
+    def oriented(grids, query):
+        """A pair query's grid key plus its grid-axis-ordered intervals."""
+        attr_a, attr_b = query.attributes
+        intervals = (query.interval(attr_a), query.interval(attr_b))
+        if (attr_a, attr_b) in grids:
+            return (attr_a, attr_b), *intervals
+        return (attr_b, attr_a), *intervals[::-1]
+
     if isinstance(mechanism, TDG):
         def answer_pair(query):
-            grid, interval_a, interval_b = mechanism._pair_intervals(query)
-            return grid2d_answer_range_loop(grid, interval_a, interval_b)
+            key, interval_a, interval_b = oriented(mechanism.grids, query)
+            return grid2d_answer_range_loop(mechanism.grids[key], interval_a,
+                                            interval_b)
 
         def answer_single(query):
             return answer_pair(padded(query))
     elif isinstance(mechanism, HDG):
         def answer_pair(query):
-            key, interval_a, interval_b = mechanism._pair_intervals(query)
+            key, interval_a, interval_b = oriented(mechanism.grids_2d, query)
             return grid2d_answer_range_loop(
                 mechanism.grids_2d[key], interval_a, interval_b,
                 mechanism.response_matrices.get(key))

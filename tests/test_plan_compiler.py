@@ -40,7 +40,7 @@ from repro import build_mechanism, make_dataset
 from repro.core import estimate_lambda_query, lambda_constraint_index_sets
 from repro.estimation import weighted_update_batch
 from repro.queries import (CompiledPlan, PlanCache, WorkloadGenerator,
-                           plan_cache_key, workload_fingerprint)
+                           plan_cache_key)
 from repro.queries.ir import (DistributionResult, ScalarResult, TopKResult,
                               query_kind)
 
@@ -312,14 +312,17 @@ def test_compiled_plan_counts_and_shape_check(dataset):
 # ----------------------------------------------------------------------
 # PlanCache: keying, LRU order, counters
 # ----------------------------------------------------------------------
-def test_workload_fingerprint_is_stable_and_order_sensitive():
+def test_plan_cache_key_is_stable_and_order_sensitive():
+    schema = (3, 16, 1000)
     first = seeded_mixed_workload(10, 2, seed=707)
     again = seeded_mixed_workload(10, 2, seed=707)
     other = seeded_mixed_workload(10, 2, seed=708)
-    assert workload_fingerprint(first) == workload_fingerprint(again)
-    assert workload_fingerprint(first) != workload_fingerprint(other)
-    assert (workload_fingerprint(list(reversed(first)))
-            != workload_fingerprint(first))
+    assert plan_cache_key(schema, first) == plan_cache_key(schema, again)
+    assert hash(plan_cache_key(schema, first)) == \
+        hash(plan_cache_key(schema, again))
+    assert plan_cache_key(schema, first) != plan_cache_key(schema, other)
+    assert (plan_cache_key(schema, list(reversed(first)))
+            != plan_cache_key(schema, first))
 
 
 def test_plan_cache_key_includes_schema():
@@ -329,6 +332,16 @@ def test_plan_cache_key_includes_schema():
     assert key != plan_cache_key((3, 32, 1000), queries)
     assert key != plan_cache_key((4, 16, 1000), queries)
     assert key != plan_cache_key((3, 16, 2000), queries)
+
+
+def test_unhashable_workload_bypasses_plan_cache(dataset):
+    # The cache key is the query tuple itself; an unhashable entry skips
+    # the cache and reaches the planner, which names what it rejects.
+    mechanism = fitted("HDG", dataset)
+    before = mechanism.plan_cache_stats()
+    with pytest.raises(TypeError, match="not an IR query: list"):
+        mechanism.answer_typed([[0, 1]])
+    assert mechanism.plan_cache_stats() == before
 
 
 def test_plan_cache_lru_eviction_and_counters():

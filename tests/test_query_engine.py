@@ -292,15 +292,48 @@ def test_grid_frequencies_are_read_only(rng):
 
 
 def test_hdg_response_matrix_replacement_not_stale(rng):
-    dataset = Dataset(rng.integers(0, 16, size=(4_000, 2)), 16)
+    # The stacked answering tables follow a replaced response matrix, a
+    # set_frequencies call and an in-place mutable_frequencies() edit,
+    # for 1-D, 2-D and λ = 3 (multi-pair) primitives alike.
+    dataset = Dataset(rng.integers(0, 16, size=(4_000, 3)), 16)
     mechanism = HDG(1.0, granularities=(4, 2), seed=0).fit(dataset)
     key = (0, 1)
-    query = RangeQuery.from_dict({0: (1, 9), 1: (2, 13)})
+    pair = RangeQuery.from_dict({0: (1, 9), 1: (2, 13)})
+    queries = [pair, RangeQuery.from_dict({0: (1, 9), 1: (2, 13), 2: (3, 11)}),
+               RangeQuery.from_dict({2: (5, 14)}),
+               RangeQuery.from_dict({1: (0, 9), 2: (4, 15)})]
+    before = mechanism.answer_workload(queries)
     mechanism.response_matrices[key] = np.full((16, 16), 1.0 / 256)
-    replaced = mechanism.answer(query)
-    batch = mechanism.answer_workload([query])[0]
-    expected = grid2d_answer_range_loop(
+    mechanism.grids_2d[(1, 2)].set_frequencies(np.full((2, 2), 0.25))
+    mechanism.grids_1d[2].mutable_frequencies()[:] = 0.25
+    batch = mechanism.answer_workload(queries)
+    expected = mechanism_answer_loop(mechanism, queries)
+    np.testing.assert_allclose(batch, expected, rtol=0.0, atol=1e-9)
+    np.testing.assert_allclose([mechanism.answer(query) for query in queries],
+                               expected, rtol=0.0, atol=1e-9)
+    assert not np.any(np.isclose(batch, before, rtol=0.0, atol=1e-12))
+    # The replaced pair answers by the HDG rule on the new matrix, not
+    # by the uniformity rule.
+    assert batch[0] == pytest.approx(grid2d_answer_range_loop(
         mechanism.grids_2d[key], (1, 9), (2, 13),
-        response_matrix=mechanism.response_matrices[key])
-    assert replaced == pytest.approx(expected, abs=1e-9)
-    assert batch == pytest.approx(expected, abs=1e-9)
+        response_matrix=mechanism.response_matrices[key]), abs=1e-9)
+    assert batch[0] != pytest.approx(grid2d_answer_range_loop(
+        mechanism.grids_2d[key], (1, 9), (2, 13)), abs=1e-6)
+
+
+def test_tdg_frequency_edits_not_stale(rng):
+    dataset = Dataset(rng.integers(0, 16, size=(4_000, 3)), 16)
+    mechanism = TDG(1.0, granularity=4, seed=0).fit(dataset)
+    queries = [RangeQuery.from_dict({0: (1, 9), 1: (2, 13)}),
+               RangeQuery.from_dict({0: (1, 9), 1: (2, 13), 2: (3, 11)}),
+               RangeQuery.from_dict({0: (5, 14)}),
+               RangeQuery.from_dict({1: (0, 6), 2: (4, 15)})]
+    before = mechanism.answer_workload(queries)
+    mechanism.grids[(0, 1)].set_frequencies(np.full((4, 4), 1.0 / 16))
+    mechanism.grids[(1, 2)].mutable_frequencies()[0, :] += 0.05
+    batch = mechanism.answer_workload(queries)
+    expected = mechanism_answer_loop(mechanism, queries)
+    np.testing.assert_allclose(batch, expected, rtol=0.0, atol=1e-9)
+    np.testing.assert_allclose([mechanism.answer(query) for query in queries],
+                               expected, rtol=0.0, atol=1e-9)
+    assert not np.any(np.isclose(batch, before, rtol=0.0, atol=1e-12))
